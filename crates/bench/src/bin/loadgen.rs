@@ -20,6 +20,7 @@ use appeal_tensor::{SeededRng, Tensor};
 use appealnet_core::server::trace::{TraceShape, TraceSpec};
 use appealnet_core::server::{Server, ServerConfig, ServerStats, ShedConfig};
 use appealnet_core::{CoreError, Engine, InferenceRequest, ThresholdPolicy, TwoHeadNet};
+use appealnet_fleet::percentile;
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -51,14 +52,6 @@ struct TraceOutcome {
     shed_seen: usize,
     wall: Duration,
     stats: ServerStats,
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[idx]
 }
 
 /// Replays one trace against a fresh server, pacing submissions by the

@@ -23,16 +23,29 @@ use appealnet_core::experiments::ExperimentContext;
 use std::fs;
 use std::path::PathBuf;
 
-/// Reads the experiment fidelity from `APPEALNET_FIDELITY` (default: `paper`).
-pub fn fidelity_from_env() -> Fidelity {
-    match std::env::var("APPEALNET_FIDELITY")
-        .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "smoke" => Fidelity::Smoke,
-        _ => Fidelity::Paper,
+/// Parses an `APPEALNET_FIDELITY` value: unset means `paper`; otherwise the
+/// value must be `smoke` or `paper` (any case). Any other value is an error
+/// naming it, so a typo cannot silently select the slow paper run.
+pub fn parse_fidelity(value: Option<&str>) -> Result<Fidelity, String> {
+    match value {
+        None => Ok(Fidelity::Paper),
+        Some(v) if v.eq_ignore_ascii_case("paper") => Ok(Fidelity::Paper),
+        Some(v) if v.eq_ignore_ascii_case("smoke") => Ok(Fidelity::Smoke),
+        Some(v) => Err(format!(
+            "APPEALNET_FIDELITY={v:?} is not a fidelity; use `smoke` or `paper`"
+        )),
     }
+}
+
+/// Reads the experiment fidelity from `APPEALNET_FIDELITY` (default: `paper`).
+/// Exits the process with status 2 on an unrecognized value.
+pub fn fidelity_from_env() -> Fidelity {
+    let value = std::env::var_os("APPEALNET_FIDELITY");
+    let value = value.as_ref().map(|v| v.to_string_lossy());
+    parse_fidelity(value.as_deref()).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(2)
+    })
 }
 
 /// The experiment context used by all harness binaries.
@@ -75,6 +88,22 @@ mod tests {
         // The env var is not set in the test environment.
         if std::env::var("APPEALNET_FIDELITY").is_err() {
             assert_eq!(fidelity_from_env(), Fidelity::Paper);
+        }
+    }
+
+    #[test]
+    fn parse_fidelity_accepts_unset_smoke_and_paper() {
+        assert_eq!(parse_fidelity(None), Ok(Fidelity::Paper));
+        assert_eq!(parse_fidelity(Some("paper")), Ok(Fidelity::Paper));
+        assert_eq!(parse_fidelity(Some("smoke")), Ok(Fidelity::Smoke));
+        assert_eq!(parse_fidelity(Some("SMOKE")), Ok(Fidelity::Smoke));
+    }
+
+    #[test]
+    fn parse_fidelity_rejects_unknown_values_by_name() {
+        for bad in ["smok", "", "fast", " smoke"] {
+            let err = parse_fidelity(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
     }
 

@@ -7,10 +7,10 @@ use crate::experiments::PreparedExperiment;
 use crate::scores::ScoreKind;
 use crate::tuning::min_cost_for_acci;
 use appeal_hw::SystemModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Energy comparison at one AccI target.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct EnergyEntry {
     /// Relative accuracy-improvement target.
     pub acci_target: f64,
@@ -33,7 +33,7 @@ impl EnergyEntry {
 }
 
 /// Energy report for one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EnergyReport {
     /// Dataset name (paper naming).
     pub dataset: String,

@@ -10,10 +10,10 @@
 use crate::experiments::PreparedExperiment;
 use crate::scores::ScoreKind;
 use crate::system::EvaluationArtifacts;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Histogram of one score, split by little-network correctness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ScoreHistogram {
     /// The score being histogrammed.
     pub kind: ScoreKind,
@@ -28,7 +28,7 @@ pub struct ScoreHistogram {
 }
 
 /// The full Figure 4 result: one histogram per compared score.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig4Result {
     /// Dataset the histograms were computed on.
     pub dataset: String,

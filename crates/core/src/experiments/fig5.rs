@@ -4,10 +4,10 @@
 use crate::experiments::PreparedExperiment;
 use crate::scores::ScoreKind;
 use crate::sweep::{paper_sr_grid, sweep_methods, SweepResult};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Figure 5 panel for one dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig5Result {
     /// Dataset name (paper naming).
     pub dataset: String,

@@ -118,7 +118,7 @@ pub use serve::{
     InferenceResponse, Route, RoutingPolicy, Scorer, ThresholdPolicy,
 };
 pub use server::{MicroBatcher, Server, ServerConfig, ServerHandle, ServerStats, ShedConfig};
-pub use system::{CollaborativeSystem, EvaluationArtifacts, RoutingDivergence};
+pub use system::{CollaborativeSystem, EvaluationArtifacts};
 pub use training::{TrainerConfig, TrainingReport};
 pub use two_head::{TwoHeadNet, TwoHeadOutput};
 
@@ -140,7 +140,7 @@ pub mod prelude {
         Ticket,
     };
     pub use crate::sweep::{MethodSeries, SweepResult};
-    pub use crate::system::{CollaborativeSystem, EvaluationArtifacts, RoutingDivergence};
+    pub use crate::system::{CollaborativeSystem, EvaluationArtifacts};
     pub use crate::training::{TrainerConfig, TrainingReport};
     pub use crate::tuning::ThresholdChoice;
     pub use crate::two_head::{TwoHeadNet, TwoHeadOutput};

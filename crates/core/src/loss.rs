@@ -12,10 +12,10 @@
 
 use appeal_tensor::loss::SoftmaxCrossEntropy;
 use appeal_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How the big cloud network is treated during training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CloudMode {
     /// The big network's per-sample losses are available (paper Section IV-A).
     WhiteBox,

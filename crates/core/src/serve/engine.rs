@@ -18,7 +18,7 @@ use crate::two_head::TwoHeadNet;
 use appeal_hw::{InferenceCost, SystemModel};
 use appeal_models::ClassifierParts;
 use appeal_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// One classification request: an id chosen by the caller and a single image
@@ -39,7 +39,7 @@ impl InferenceRequest {
 }
 
 /// The engine's answer to one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InferenceResponse {
     /// The id of the request this answers.
     pub id: u64,
@@ -63,7 +63,7 @@ pub struct InferenceResponse {
 /// *and* a numeric tier — a `fast-kernels` build is faster but only
 /// deterministic per build, and operators reading serving logs need to know
 /// which guarantee the numbers came from.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Serialize)]
 pub struct EngineStats {
     /// Requests answered.
     pub requests: u64,
@@ -77,9 +77,6 @@ pub struct EngineStats {
     pub total_cost: InferenceCost,
     /// Wall-clock seconds spent inside batch execution.
     pub busy_seconds: f64,
-    /// `true` when the edge scorer runs on the quantized (Q8_0) weight tier,
-    /// so its outputs follow the "quantized-tolerance" numeric contract.
-    pub edge_quantized: bool,
 }
 
 impl std::fmt::Debug for EngineStats {
@@ -92,28 +89,16 @@ impl std::fmt::Debug for EngineStats {
             .field("total_cost", &self.total_cost)
             .field("busy_seconds", &self.busy_seconds)
             .field("kernel_isa", &appeal_tensor::kernels::active_isa().name())
-            .field(
-                "numeric_contract",
-                &numeric_contract_label(self.edge_quantized),
-            )
+            .field("numeric_contract", &numeric_contract_label())
             .finish()
     }
 }
 
-/// The numeric contract for debug output, with a `+fma` suffix when the
-/// fused kernel tier is live on this host (contract alone says what the
+/// The build's numeric contract for debug output, with a `+fma` suffix when
+/// the fused kernel tier is live on this host (contract alone says what the
 /// build *promises*; the suffix says what the dispatched kernels *do*).
-///
-/// A quantized edge scorer reports the "quantized-tolerance" contract
-/// instead of the build tier's f32 contract: its GEMMs run the int8 path,
-/// which is bit-identical on every ISA and both build tiers, so scores
-/// differ from an f32 edge pass only by bounded quantization error.
-fn numeric_contract_label(quantized: bool) -> String {
-    let contract = if quantized {
-        appeal_tensor::kernels::quantized_contract()
-    } else {
-        appeal_tensor::kernels::numeric_contract()
-    };
+fn numeric_contract_label() -> String {
+    let contract = appeal_tensor::kernels::numeric_contract();
     if appeal_tensor::kernels::fused_active() {
         format!("{contract}+fma")
     } else {
@@ -130,7 +115,6 @@ impl EngineStats {
             offloaded: 0,
             total_cost: InferenceCost::zero(),
             busy_seconds: 0.0,
-            edge_quantized: false,
         }
     }
 
@@ -306,27 +290,11 @@ impl EngineBuilder {
             None => Box::new(ThresholdPolicy::new(0.5)?),
         };
         let input_shape = scorer.input_shape();
-        let scorer_quantized = scorer.is_quantized();
         let input_bytes = (input_shape.iter().product::<usize>() * 4) as u64;
-        // A quantized edge scorer is charged the int8 tier's energy/latency
-        // discount; FLOP counts are identical, so Eq. 5/15 comparisons stay
-        // in the paper's unit either way.
-        let (edge_cost, offload_cost) = if scorer_quantized {
-            (
-                self.hardware.edge_only_cost_quantized(scorer.flops()),
-                self.hardware.offload_cost_quantized(
-                    scorer.flops(),
-                    big.total_flops(),
-                    input_bytes,
-                ),
-            )
-        } else {
-            (
-                self.hardware.edge_only_cost(scorer.flops()),
-                self.hardware
-                    .offload_cost(scorer.flops(), big.total_flops(), input_bytes),
-            )
-        };
+        let edge_cost = self.hardware.edge_only_cost(scorer.flops());
+        let offload_cost =
+            self.hardware
+                .offload_cost(scorer.flops(), big.total_flops(), input_bytes);
         Ok(Engine {
             scorer,
             workers: Vec::new(),
@@ -341,10 +309,7 @@ impl EngineBuilder {
             pending_ids: Vec::new(),
             pending_data: Vec::new(),
             next_id: 0,
-            stats: EngineStats {
-                edge_quantized: scorer_quantized,
-                ..EngineStats::zero()
-            },
+            stats: EngineStats::zero(),
         })
     }
 }
@@ -408,7 +373,7 @@ impl std::fmt::Debug for Engine {
             self.pending_ids.len(),
             self.stats.requests,
             appeal_tensor::kernels::active_isa(),
-            numeric_contract_label(self.scorer.is_quantized())
+            numeric_contract_label()
         )
     }
 }
@@ -642,10 +607,7 @@ impl Engine {
 
     /// Resets the cumulative statistics (queued requests are kept).
     pub fn reset_stats(&mut self) {
-        self.stats = EngineStats {
-            edge_quantized: self.scorer.is_quantized(),
-            ..EngineStats::zero()
-        };
+        self.stats = EngineStats::zero();
     }
 
     /// Replaces the routing policy; queued requests and stats are kept.
@@ -734,44 +696,6 @@ mod tests {
             engine_debug.contains("contract=") && engine_debug.contains(contract),
             "{engine_debug}"
         );
-    }
-
-    #[test]
-    fn quantized_scorer_reports_quantized_contract() {
-        let (mut net, big) = tiny_models(4);
-        net.quantize_weights();
-        let mut engine = Engine::builder()
-            .appealnet(net)
-            .big(big)
-            .policy(ThresholdPolicy::new(0.5).unwrap())
-            .max_batch(2)
-            .build()
-            .unwrap();
-        assert!(engine.stats().edge_quantized);
-        let debug = format!("{:?}", engine.stats());
-        assert!(
-            debug.contains("quantized-tolerance"),
-            "quantized edge must surface the quantized contract: {debug}"
-        );
-        let engine_debug = format!("{engine:?}");
-        assert!(
-            engine_debug.contains("quantized-tolerance"),
-            "{engine_debug}"
-        );
-        // The quantized tier is charged the discounted edge cost (same
-        // FLOPs, cheaper energy and latency).
-        let f32_engine = super::tests::engine(2);
-        assert_eq!(engine.edge_cost().flops, f32_engine.edge_cost().flops);
-        assert!(engine.edge_cost().energy_mj < f32_engine.edge_cost().energy_mj);
-        assert!(engine.offload_cost().latency_ms < f32_engine.offload_cost().latency_ms);
-        // The flag survives a stats reset and the engine still serves.
-        engine.reset_stats();
-        assert!(engine.stats().edge_quantized);
-        let mut rng = SeededRng::new(21);
-        let images = Tensor::randn(&[3, 3, 12, 12], &mut rng);
-        let responses = engine.classify_batch(&images).unwrap();
-        assert_eq!(responses.len(), 3);
-        assert!(responses.iter().all(|r| (0.0..=1.0).contains(&r.score)));
     }
 
     #[test]

@@ -48,13 +48,6 @@ pub trait Scorer: Send {
 
     /// Clones this scorer for a worker thread, dropping activation caches.
     fn fork(&self) -> Box<dyn Scorer>;
-
-    /// `true` when the edge model runs on the quantized (Q8_0) weight tier,
-    /// in which case its outputs follow the "quantized-tolerance" numeric
-    /// contract instead of the build tier's f32 contract.
-    fn is_quantized(&self) -> bool {
-        false
-    }
 }
 
 /// [`Scorer`] over the jointly trained two-head network: the routing score is
@@ -72,12 +65,6 @@ impl QScorer {
     /// The wrapped network.
     pub fn network(&self) -> &TwoHeadNet {
         &self.net
-    }
-
-    /// Mutable access to the wrapped network (e.g. to quantize its weights
-    /// or calibrate activation scales before serving).
-    pub fn network_mut(&mut self) -> &mut TwoHeadNet {
-        &mut self.net
     }
 }
 
@@ -107,10 +94,6 @@ impl Scorer for QScorer {
         Box::new(Self {
             net: self.net.replica(),
         })
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.net.is_quantized()
     }
 }
 
@@ -168,10 +151,6 @@ impl Scorer for ConfidenceScorer {
             model: self.model.replica(),
             kind: self.kind,
         })
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.model.is_quantized()
     }
 }
 

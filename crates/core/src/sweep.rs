@@ -5,10 +5,10 @@ use crate::metrics::RoutedMetrics;
 use crate::scores::ScoreKind;
 use crate::system::EvaluationArtifacts;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The accuracy-vs-skipping-rate curve of one routing method.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MethodSeries {
     /// Routing score used by this method.
     pub score: ScoreKind,
@@ -24,7 +24,7 @@ impl MethodSeries {
 }
 
 /// Result of sweeping several methods over a skipping-rate grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SweepResult {
     /// The requested skipping rates (fractions in `[0, 1]`).
     pub skipping_rates: Vec<f64>,

@@ -20,10 +20,10 @@ use appeal_hw::{InferenceCost, SystemModel};
 use appeal_models::ClassifierParts;
 use appeal_tensor::loss::SoftmaxCrossEntropy;
 use appeal_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-sample artifacts of evaluating a little/big model pair on a dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EvaluationArtifacts {
     /// Routing score per input (higher = keep on the edge).
     pub scores: Vec<f32>,
@@ -160,83 +160,6 @@ impl EvaluationArtifacts {
         Ok(t)
     }
 
-    /// Largest absolute per-sample score difference against `other`.
-    ///
-    /// Errors if either side fails [`Self::validate`] or the sample counts
-    /// differ. This is the observable divergence between an f32 and a
-    /// quantized evaluation of the same model on the same inputs.
-    pub fn max_score_divergence(&self, other: &Self) -> CoreResult<f64> {
-        self.validate()?;
-        other.validate()?;
-        if self.len() != other.len() {
-            return Err(CoreError::LengthMismatch {
-                field: "scores",
-                expected: self.len(),
-                got: other.len(),
-            });
-        }
-        Ok(self
-            .scores
-            .iter()
-            .zip(&other.scores)
-            .map(|(&a, &b)| (f64::from(a) - f64::from(b)).abs())
-            .fold(0.0, f64::max))
-    }
-
-    /// Compares the routing these artifacts and `other` induce at threshold
-    /// `delta`, attributing every disagreement to scores within `tol` of δ.
-    ///
-    /// If the two score sets really differ by at most `tol` per sample
-    /// (e.g. f32 vs Q8_0 under the quantized-tolerance contract), a routing
-    /// flip can only happen where a score *straddles* the threshold —
-    /// [`RoutingDivergence::unexplained`] must come back 0.
-    ///
-    /// Errors if either side fails [`Self::validate`], the sample counts
-    /// differ, or `delta`/`tol` is NaN (or `tol` negative).
-    pub fn routing_divergence(
-        &self,
-        other: &Self,
-        delta: f64,
-        tol: f64,
-    ) -> CoreResult<RoutingDivergence> {
-        self.validate()?;
-        other.validate()?;
-        if self.len() != other.len() {
-            return Err(CoreError::LengthMismatch {
-                field: "scores",
-                expected: self.len(),
-                got: other.len(),
-            });
-        }
-        if delta.is_nan() {
-            return Err(CoreError::InvalidThreshold(delta));
-        }
-        if tol.is_nan() || tol < 0.0 {
-            return Err(CoreError::InvalidThreshold(tol));
-        }
-        let mut div = RoutingDivergence {
-            total: self.len(),
-            differing: 0,
-            straddling: 0,
-            unexplained: 0,
-        };
-        for (&a, &b) in self.scores.iter().zip(&other.scores) {
-            let (a, b) = (f64::from(a), f64::from(b));
-            let differs = (a >= delta) != (b >= delta);
-            let straddles = (a - delta).abs() <= tol || (b - delta).abs() <= tol;
-            if differs {
-                div.differing += 1;
-            }
-            if straddles {
-                div.straddling += 1;
-            }
-            if differs && !straddles {
-                div.unexplained += 1;
-            }
-        }
-        Ok(div)
-    }
-
     /// Builds artifacts for an AppealNet two-head model: the routing score is
     /// the predictor output `q(1|x)`.
     pub fn from_two_head(
@@ -362,24 +285,8 @@ fn classifier_correctness(
     parallel::classifier_correctness(model, images, labels, batch_size, &ChunkPolicy::runtime())
 }
 
-/// How the routing induced by two score sets compares at one threshold δ
-/// (see [`EvaluationArtifacts::routing_divergence`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoutingDivergence {
-    /// Samples compared.
-    pub total: usize,
-    /// Samples the two score sets route differently at δ.
-    pub differing: usize,
-    /// Samples whose score (in either set) lies within the tolerance of δ.
-    pub straddling: usize,
-    /// Samples routed differently although *neither* score is within the
-    /// tolerance of δ. Zero whenever the score sets genuinely differ by at
-    /// most the tolerance per sample.
-    pub unexplained: usize,
-}
-
 /// The decision made for one input at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RoutingOutcome {
     /// Predicted class label.
     pub label: usize,
@@ -578,67 +485,6 @@ mod tests {
             .collect();
         assert!(srs.contains(&1.0));
         assert!(srs.contains(&0.0));
-    }
-
-    #[test]
-    fn routing_divergence_attributes_every_flip_to_straddling_scores() {
-        let a = synthetic_artifacts();
-        let mut b = a.clone();
-        // Shift every score by less than the tolerance: any routing flip at
-        // δ must then involve a score within tol of δ.
-        for s in &mut b.scores {
-            *s += 0.04;
-        }
-        assert!(a.max_score_divergence(&b).unwrap() <= 0.05);
-        let div = a.routing_divergence(&b, 0.43, 0.05).unwrap();
-        assert_eq!(div.total, 10);
-        assert!(div.differing > 0, "the shift must flip at least one route");
-        assert_eq!(div.unexplained, 0);
-        // Identical scores: no flips at all, even at zero tolerance.
-        let same = a.routing_divergence(&a, 0.43, 0.0).unwrap();
-        assert_eq!(same.differing, 0);
-        assert_eq!(same.unexplained, 0);
-        assert_eq!(a.max_score_divergence(&a).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn routing_divergence_flags_unexplained_flips() {
-        let a = synthetic_artifacts();
-        let mut b = a.clone();
-        // Sample 9 (score 0.9) drops below δ although it is far from δ in
-        // both sets: an unexplained flip the tolerance cannot absorb.
-        b.scores[9] = 0.1;
-        let div = a.routing_divergence(&b, 0.43, 0.05).unwrap();
-        assert_eq!(div.differing, 1);
-        assert_eq!(div.unexplained, 1);
-    }
-
-    #[test]
-    fn routing_divergence_rejects_mismatched_or_invalid_inputs() {
-        let a = synthetic_artifacts();
-        let mut short = a.clone();
-        short.scores.pop();
-        short.little_correct.pop();
-        short.big_correct.pop();
-        assert!(matches!(
-            a.routing_divergence(&short, 0.5, 0.01).unwrap_err(),
-            CoreError::LengthMismatch {
-                field: "scores",
-                ..
-            }
-        ));
-        assert!(matches!(
-            a.max_score_divergence(&short).unwrap_err(),
-            CoreError::LengthMismatch {
-                field: "scores",
-                ..
-            }
-        ));
-        assert!(matches!(
-            a.routing_divergence(&a, f64::NAN, 0.01).unwrap_err(),
-            CoreError::InvalidThreshold(_)
-        ));
-        assert!(a.routing_divergence(&a, 0.5, -0.01).is_err());
     }
 
     #[test]

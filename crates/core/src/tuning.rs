@@ -13,7 +13,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::metrics::RoutedMetrics;
 use crate::system::EvaluationArtifacts;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Evaluates the metrics of every candidate threshold, in parallel for large
 /// evaluation sets. The scan over all candidates is the O(n²) hot path of
@@ -30,7 +30,7 @@ fn candidate_metrics(artifacts: &EvaluationArtifacts) -> CoreResult<Vec<(f64, Ro
 }
 
 /// A chosen threshold and the metrics it achieves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ThresholdChoice {
     /// The selected threshold δ.
     pub threshold: f64,

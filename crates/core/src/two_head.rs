@@ -173,62 +173,6 @@ impl TwoHeadNet {
         self.predictor_head.flops(&feature_shape)
     }
 
-    /// Switches the little network to the quantized (Q8_0) weight tier.
-    ///
-    /// Quantizes every dense and convolution weight in the backbone and both
-    /// heads, returning the per-layer round-trip reports (aggregate them with
-    /// [`appeal_tensor::quant::QuantReportSummary::from_reports`]). Subsequent
-    /// eval-mode forwards run the int8 GEMM under the "quantized-tolerance"
-    /// numeric contract; training forwards keep using the f32 weights.
-    pub fn quantize_weights(&mut self) -> Vec<appeal_tensor::quant::QuantLayerReport> {
-        let mut reports = self.backbone.quantize_weights();
-        reports.extend(self.approximator_head.quantize_weights());
-        reports.extend(self.predictor_head.quantize_weights());
-        reports
-    }
-
-    /// `true` once [`TwoHeadNet::quantize_weights`] has installed the int8 tier.
-    pub fn is_quantized(&self) -> bool {
-        self.backbone.is_quantized()
-            || self.approximator_head.is_quantized()
-            || self.predictor_head.is_quantized()
-    }
-
-    /// Calibrates static activation scales for the quantized tier from a
-    /// representative input set.
-    ///
-    /// Runs sequential eval forwards over `images` in batches while each
-    /// quantized layer observes the absolute maximum of its inputs, then
-    /// freezes every observation into a static power-of-two activation scale.
-    /// The observed maximum is order-independent, so the frozen scales (and
-    /// all subsequent outputs) do not depend on `batch_size`.
-    ///
-    /// Calibration must run on this instance directly (not through the
-    /// replica-based parallel evaluator) because observation mutates layer
-    /// state. A no-op unless [`TwoHeadNet::quantize_weights`] ran first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn calibrate_activation_scales(&mut self, images: &Tensor, batch_size: usize) {
-        assert!(batch_size > 0, "batch_size must be positive");
-        self.backbone.begin_calibration();
-        self.approximator_head.begin_calibration();
-        self.predictor_head.begin_calibration();
-        let n = images.shape()[0];
-        let mut start = 0;
-        while start < n {
-            let end = (start + batch_size).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let batch = images.select_rows(&idx);
-            let _ = self.forward(&batch, false);
-            start = end;
-        }
-        self.backbone.end_calibration();
-        self.approximator_head.end_calibration();
-        self.predictor_head.end_calibration();
-    }
-
     /// Runs inference over a dataset in batches and concatenates the outputs.
     ///
     /// Large workloads are sharded across worker threads per the runtime
@@ -344,90 +288,6 @@ mod tests {
         assert!(full.logits.max_abs_diff(&batched.logits) < 1e-4);
         for (a, b) in full.q.iter().zip(batched.q.iter()) {
             assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn quantized_net_tracks_f32_within_reported_bounds() {
-        let mut net = small_two_head(6);
-        let mut rng = SeededRng::new(8);
-        let x = Tensor::randn(&[6, 3, 12, 12], &mut rng);
-        let f32_out = net.forward(&x, false);
-        assert!(!net.is_quantized());
-        let reports = net.quantize_weights();
-        assert!(net.is_quantized());
-        assert!(
-            reports.len() >= 3,
-            "backbone + both heads should contribute reports, got {}",
-            reports.len()
-        );
-        assert!(reports.iter().all(|r| r.within_bound()));
-        let summary = appeal_tensor::quant::QuantReportSummary::from_reports(&reports);
-        assert!(summary.within_bound());
-        assert!(
-            summary.compression() > 1.5,
-            "Q8_0 should compress weights well, got {:.2}x",
-            summary.compression()
-        );
-        let q_out = net.forward(&x, false);
-        assert_eq!(q_out.logits.shape(), f32_out.logits.shape());
-        assert!(q_out.q.iter().all(|&q| (0.0..=1.0).contains(&q)));
-        for (a, b) in q_out.logits.data().iter().zip(f32_out.logits.data()) {
-            assert!(
-                (a - b).abs() < 0.5,
-                "quantized logit {a} too far from f32 {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_evaluate_matches_direct_forward() {
-        let mut net = small_two_head(5);
-        let mut rng = SeededRng::new(9);
-        let x = Tensor::randn(&[7, 3, 12, 12], &mut rng);
-        net.quantize_weights();
-        let full = net.forward(&x, false);
-        let batched = net.evaluate(&x, 3);
-        // Quantized activations are scaled per sample (per GEMM row /
-        // receptive field), so batching cannot change any row's scale and the
-        // batched pass reproduces the single-batch pass bit for bit.
-        for (a, b) in full.logits.data().iter().zip(batched.logits.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in full.q.iter().zip(batched.q.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn calibration_is_batch_size_invariant() {
-        let mut net = small_two_head(4);
-        let mut rng = SeededRng::new(10);
-        let x = Tensor::randn(&[9, 3, 12, 12], &mut rng);
-        net.quantize_weights();
-        let mut other = net.clone();
-        net.calibrate_activation_scales(&x, 2);
-        other.calibrate_activation_scales(&x, 9);
-        let a = net.forward(&x, false);
-        let b = other.forward(&x, false);
-        for (p, q) in a.logits.data().iter().zip(b.logits.data()) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-        for (p, q) in a.q.iter().zip(b.q.iter()) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-    }
-
-    #[test]
-    fn training_forward_unaffected_by_quantization() {
-        let mut net = small_two_head(3);
-        let mut rng = SeededRng::new(11);
-        let x = Tensor::randn(&[2, 3, 12, 12], &mut rng);
-        let before = net.forward(&x, true);
-        net.quantize_weights();
-        let after = net.forward(&x, true);
-        for (a, b) in before.logits.data().iter().zip(after.logits.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

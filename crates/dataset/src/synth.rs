@@ -15,10 +15,10 @@
 
 use crate::dataset::Dataset;
 use appeal_tensor::{SeededRng, Tensor};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of a synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SynthSpec {
     /// Human-readable name (used in reports).
     pub name: String,

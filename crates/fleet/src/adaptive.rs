@@ -14,10 +14,10 @@
 
 use crate::error::{is_positive, FleetError, FleetResult};
 use appeal_hw::{CostBudget, CostMeter, InferenceCost};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the per-node adaptive offload budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AdaptiveConfig {
     /// Requests per control window; the budget is re-evaluated and the spend
     /// meter reset at every window boundary.

@@ -193,8 +193,8 @@ pub struct FleetMetrics {
     pub post_degrade: Option<PhaseMetrics>,
 }
 
-/// Percentile over a sorted slice, mirroring the loadgen convention
-/// (nearest-rank by rounding).
+/// Percentile over a sorted slice, nearest-rank by rounding; `loadgen`
+/// reports through it too.
 pub fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;

@@ -9,11 +9,11 @@
 //! one more offload still fits the budget.
 
 use crate::cost::InferenceCost;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An upper bound on accumulated inference cost. Unset components are
 /// unconstrained; a budget with no component set admits everything.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct CostBudget {
     /// Maximum accumulated FLOPs, if bounded.
     pub max_flops: Option<u64>,
@@ -75,7 +75,7 @@ impl CostBudget {
 }
 
 /// Accumulates the cost a running system has charged so far.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostMeter {
     spent: InferenceCost,
     charges: u64,

@@ -3,10 +3,10 @@
 
 use crate::device::DeviceSpec;
 use crate::link::LinkSpec;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cost of processing one input, in three units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InferenceCost {
     /// FLOPs-equivalent cost (the unit used by the paper's Table I).
     ///
@@ -58,7 +58,7 @@ impl InferenceCost {
 }
 
 /// The full edge + link + cloud system used to derive per-input costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SystemModel {
     /// Edge device running the little network and the predictor.
     pub edge: DeviceSpec,
@@ -67,17 +67,6 @@ pub struct SystemModel {
     /// Uplink between them.
     pub link: LinkSpec,
 }
-
-/// Edge energy/latency advantage of the quantized (Q8_0) little-network
-/// tier over f32, as a speedup factor.
-///
-/// Int8 weights quarter the bytes moved per MAC and widen SIMD lanes 4×;
-/// measured end-to-end gains on mobile-class CPUs land well below the 4×
-/// ceiling once the f32 accumulate, scale bookkeeping and the untouched
-/// non-GEMM layers are included, so the model charges a conservative 3.2×.
-/// FLOP counts are *unchanged*: the quantized tier performs the same MACs,
-/// only cheaper, and Eq. 5/15 comparisons stay in the paper's FLOPs unit.
-pub const QUANT_EDGE_SPEEDUP: f64 = 3.2;
 
 impl SystemModel {
     /// Creates a system model.
@@ -123,57 +112,6 @@ impl SystemModel {
             energy_mj: edge.energy_mj + uplink_energy + self.cloud.energy_mj(big_flops),
             latency_ms: edge.latency_ms + uplink_latency + self.cloud.latency_ms(big_flops),
         }
-    }
-
-    /// Cost `c1` when the little network runs on the quantized (Q8_0) tier:
-    /// same FLOPs, edge energy and latency divided by [`QUANT_EDGE_SPEEDUP`].
-    pub fn edge_only_cost_quantized(&self, little_flops: u64) -> InferenceCost {
-        let f32_cost = self.edge_only_cost(little_flops);
-        InferenceCost {
-            flops: f32_cost.flops,
-            energy_mj: f32_cost.energy_mj / QUANT_EDGE_SPEEDUP,
-            latency_ms: f32_cost.latency_ms / QUANT_EDGE_SPEEDUP,
-        }
-    }
-
-    /// Cost `c0` when the edge pass runs on the quantized tier. Only the
-    /// edge portion is discounted: the link and the cloud's big network are
-    /// untouched by edge quantization.
-    pub fn offload_cost_quantized(
-        &self,
-        little_flops: u64,
-        big_flops: u64,
-        input_bytes: u64,
-    ) -> InferenceCost {
-        let f32_offload = self.offload_cost(little_flops, big_flops, input_bytes);
-        let edge_f32 = self.edge_only_cost(little_flops);
-        let edge_q = self.edge_only_cost_quantized(little_flops);
-        InferenceCost {
-            flops: f32_offload.flops,
-            energy_mj: f32_offload.energy_mj - edge_f32.energy_mj + edge_q.energy_mj,
-            latency_ms: f32_offload.latency_ms - edge_f32.latency_ms + edge_q.latency_ms,
-        }
-    }
-
-    /// Expected per-input cost (Eq. 15) with the little network on the
-    /// quantized tier at skipping rate `sr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sr` is outside `[0, 1]`.
-    pub fn expected_cost_quantized(
-        &self,
-        sr: f64,
-        little_flops: u64,
-        big_flops: u64,
-        input_bytes: u64,
-    ) -> InferenceCost {
-        assert!((0.0..=1.0).contains(&sr), "skipping rate must be in [0, 1]");
-        let on_edge = self.edge_only_cost_quantized(little_flops).scale(sr);
-        let offloaded = self
-            .offload_cost_quantized(little_flops, big_flops, input_bytes)
-            .scale(1.0 - sr);
-        on_edge.add(&offloaded)
     }
 
     /// Cost of a cloud-only deployment (every input is offloaded, no little network).
@@ -291,53 +229,6 @@ mod tests {
     #[should_panic(expected = "skipping rate must be in")]
     fn rejects_invalid_sr() {
         let _ = system().expected_cost(1.5, 1, 1, 1);
-    }
-
-    #[test]
-    fn quantized_edge_is_cheaper_but_same_flops() {
-        let s = system();
-        let f = s.edge_only_cost(100_000);
-        let q = s.edge_only_cost_quantized(100_000);
-        assert_eq!(q.flops, f.flops, "quantization must not change FLOPs");
-        assert!((q.energy_mj * QUANT_EDGE_SPEEDUP - f.energy_mj).abs() < 1e-9);
-        assert!((q.latency_ms * QUANT_EDGE_SPEEDUP - f.latency_ms).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantized_offload_discounts_only_the_edge_share() {
-        let s = system();
-        let f = s.offload_cost(100_000, 3_000_000, 1728);
-        let q = s.offload_cost_quantized(100_000, 3_000_000, 1728);
-        assert_eq!(q.flops, f.flops);
-        // The saving equals exactly the edge share's discount; link + cloud
-        // terms cancel.
-        let edge_saving =
-            s.edge_only_cost(100_000).energy_mj - s.edge_only_cost_quantized(100_000).energy_mj;
-        assert!((f.energy_mj - q.energy_mj - edge_saving).abs() < 1e-9);
-        assert!(q.energy_mj < f.energy_mj);
-        assert!(q.latency_ms < f.latency_ms);
-    }
-
-    #[test]
-    fn quantized_expected_cost_dominates_f32_at_every_sr() {
-        let s = system();
-        for sr in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let f = s.expected_cost(sr, 100_000, 3_000_000, 1728);
-            let q = s.expected_cost_quantized(sr, 100_000, 3_000_000, 1728);
-            assert_eq!(q.flops, f.flops);
-            assert!(q.energy_mj < f.energy_mj);
-            assert!(q.latency_ms < f.latency_ms);
-        }
-        // Every input pays exactly one edge pass (offloaded inputs run the
-        // little network too, per Eq. 5), so the per-input saving is the
-        // same at every skipping rate.
-        let gain_low = s.expected_cost(0.2, 100_000, 3_000_000, 1728).energy_mj
-            - s.expected_cost_quantized(0.2, 100_000, 3_000_000, 1728)
-                .energy_mj;
-        let gain_high = s.expected_cost(0.9, 100_000, 3_000_000, 1728).energy_mj
-            - s.expected_cost_quantized(0.9, 100_000, 3_000_000, 1728)
-                .energy_mj;
-        assert!((gain_high - gain_low).abs() < 1e-9);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod profiler;
 pub mod stochastic;
 
 pub use budget::{CostBudget, CostMeter};
-pub use cost::{InferenceCost, SystemModel, QUANT_EDGE_SPEEDUP};
+pub use cost::{InferenceCost, SystemModel};
 pub use device::DeviceSpec;
 pub use error::{HwError, HwResult};
 pub use faults::{FaultEvent, FaultPlan};

@@ -10,10 +10,10 @@ use crate::device::DeviceSpec;
 use crate::error::{require_positive, HwResult};
 use appeal_models::{ModelCost, ModelSpec};
 use appeal_tensor::SeededRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Outcome of profiling one candidate model on a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProfileDecision {
     /// The candidate that was profiled.
     pub spec: ModelSpec,

@@ -83,24 +83,6 @@ impl ClassifierParts {
         self.backbone.clear_cache();
         self.head.clear_cache();
     }
-
-    /// Switches the classifier to the quantized (Q8_0) weight tier.
-    ///
-    /// Quantizes every dense and convolution weight in backbone and head
-    /// (see [`appeal_tensor::quant`]), returning per-layer round-trip
-    /// reports. Eval-mode forwards then run the int8 GEMM under the
-    /// "quantized-tolerance" numeric contract; training stays f32.
-    pub fn quantize_weights(&mut self) -> Vec<appeal_tensor::quant::QuantLayerReport> {
-        let mut reports = self.backbone.quantize_weights();
-        reports.extend(self.head.quantize_weights());
-        reports
-    }
-
-    /// `true` once [`ClassifierParts::quantize_weights`] has installed the
-    /// int8 tier.
-    pub fn is_quantized(&self) -> bool {
-        self.backbone.is_quantized() || self.head.is_quantized()
-    }
 }
 
 /// Rounds a scaled channel count to at least 2 channels.
@@ -366,31 +348,6 @@ mod tests {
         let cost = model.cost();
         assert_eq!(cost.family, ModelFamily::ResNetLike);
         assert!(cost.flops > 0 && cost.params > 0);
-    }
-
-    #[test]
-    fn every_family_quantizes_within_bound() {
-        let mut rng = SeededRng::new(8);
-        for family in ModelFamily::little_families() {
-            let spec = ModelSpec::little(family, [3, 12, 12], 10);
-            let mut model = spec.build(&mut rng);
-            let x = Tensor::randn(&[2, 3, 12, 12], &mut rng);
-            let f32_logits = model.forward(&x, false);
-            assert!(!model.is_quantized());
-            let reports = model.quantize_weights();
-            assert!(model.is_quantized());
-            assert!(
-                reports.iter().all(|r| r.within_bound()),
-                "{family}: quantization round-trip broke the error bound"
-            );
-            let q_logits = model.forward(&x, false);
-            assert_eq!(q_logits.shape(), f32_logits.shape());
-            assert!(q_logits.all_finite());
-            assert!(
-                q_logits.max_abs_diff(&f32_logits) < 1.0,
-                "{family}: quantized logits drifted too far"
-            );
-        }
     }
 
     #[test]

@@ -26,16 +26,11 @@
 //!   checkout pool for GEMM row bands, so the persistent rayon worker pool
 //!   retains every high-water buffer across calls.
 //!
-//! * [`quant_gemm_into`] — the int8 GEMM behind the quantized (Q8_0)
-//!   little-net tier: pre-quantized weights, on-the-fly activation
-//!   quantization, widening integer SIMD, the same band-parallel shape as
-//!   the f32 driver.
-//!
 //! # Determinism
 //!
-//! The crate ships **three numeric contracts**, reported at runtime by
-//! [`numeric_contract`] (build-selected) and [`quantized_contract`] (the
-//! full specification lives in `docs/DETERMINISM.md`):
+//! The crate ships **two numeric contracts**, selected at build time and
+//! reported at runtime by [`numeric_contract`] (the full specification
+//! lives in `docs/DETERMINISM.md`):
 //!
 //! * **Default build —
 //!   [`BitIdenticalToSeed`](NumericContract::BitIdenticalToSeed).** Every
@@ -63,29 +58,20 @@
 //!   and the fused AVX2/AVX-512 kernels are bit-identical to each other.
 //!   Scalar- or SSE2-forced dispatch (including `APPEALNET_FORCE_SCALAR`)
 //!   never fuses and so still reproduces the seed exactly.
-//! * **Quantized path —
-//!   [`QuantizedTolerance`](NumericContract::QuantizedTolerance).** The
-//!   Q8_0 kernels are bit-identical everywhere — on every ISA, thread
-//!   count and **both** build tiers (no fused variant exists for integer
-//!   arithmetic) — but differ from the f32 network by the quantization
-//!   error itself, bounded per value by [`tolerance::quantization_bound`]
-//!   plus the cross-block accumulation bound.
 
 pub mod elementwise;
 pub mod gemm;
 pub mod im2col;
 pub mod naive;
-pub mod quant_gemm;
 pub mod scratch;
 pub mod simd;
 pub mod tolerance;
 
 pub use gemm::{gemm_bias_cols, gemm_into, transpose_into, GemmInit, KC, MC, MR, NC, NR};
 pub use im2col::{col2im, im2col};
-pub use quant_gemm::quant_gemm_into;
 pub use scratch::{
     enter_worker_region, in_worker_region, stats as scratch_stats, with_thread_scratch, GrowBuf,
-    KernelScratch, PackScratch, QuantScratch, ScratchStats, WorkerRegionGuard,
+    KernelScratch, PackScratch, ScratchStats, WorkerRegionGuard,
 };
 pub use simd::{
     active_isa, fma_supported, force_fused, force_isa, fused_active, supported_isas, Isa,
@@ -105,24 +91,15 @@ pub enum NumericContract {
     /// removes one rounding per accumulation step where the host supports
     /// it.
     DeterministicPerBuild,
-    /// The quantized (Q8_0) inference path: results are bit-identical
-    /// across runs, thread counts, ISAs **and both build tiers** (the
-    /// integer kernels have no fused variant), but differ from the f32
-    /// reference by the quantization error itself, bounded per value by
-    /// half a block-scale step ([`tolerance::quantization_bound`]) plus
-    /// the cross-block accumulation bound.
-    QuantizedTolerance,
 }
 
 impl NumericContract {
     /// Short stable name, for reports and debug output
-    /// (`"bit-identical-to-seed"` / `"deterministic-per-build"` /
-    /// `"quantized-tolerance"`).
+    /// (`"bit-identical-to-seed"` / `"deterministic-per-build"`).
     pub fn name(self) -> &'static str {
         match self {
             NumericContract::BitIdenticalToSeed => "bit-identical-to-seed",
             NumericContract::DeterministicPerBuild => "deterministic-per-build",
-            NumericContract::QuantizedTolerance => "quantized-tolerance",
         }
     }
 }
@@ -144,17 +121,6 @@ pub fn numeric_contract() -> NumericContract {
     } else {
         NumericContract::BitIdenticalToSeed
     }
-}
-
-/// The contract governing the quantized (Q8_0) inference path. Unlike
-/// [`numeric_contract`] it is independent of the build tier: the int8
-/// kernels never fuse, so a quantized little net computes bit-identical
-/// results on every build, ISA and thread count — it simply is not the f32
-/// network, and its divergence from f32 is what the
-/// [`QuantizedTolerance`](NumericContract::QuantizedTolerance) bound
-/// describes (see `docs/DETERMINISM.md`).
-pub fn quantized_contract() -> NumericContract {
-    NumericContract::QuantizedTolerance
 }
 
 #[cfg(test)]

@@ -135,71 +135,6 @@ impl Clone for GrowBuf {
     }
 }
 
-/// A grow-only `i8` buffer with high-water-mark reuse — the int8 twin of
-/// [`GrowBuf`], sharing the same process-wide counters and the same dirty
-/// contract. Used for on-the-fly activation quantization in the quantized
-/// GEMM (see [`crate::kernels::quant_gemm`]).
-#[derive(Default)]
-pub struct GrowBufI8 {
-    buf: Vec<i8>,
-}
-
-impl GrowBufI8 {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns a dirty `&mut [i8]` of exactly `len` elements, growing the
-    /// backing storage if needed and bumping the process-wide counters.
-    pub fn take(&mut self, len: usize) -> &mut [i8] {
-        if self.buf.len() < len {
-            SCRATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            self.buf.resize(len, 0);
-        } else {
-            SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
-        }
-        &mut self.buf[..len]
-    }
-
-    /// Current capacity (high-water mark) in elements.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-impl std::fmt::Debug for GrowBufI8 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "GrowBufI8(capacity={})", self.buf.len())
-    }
-}
-
-/// Same rule as [`GrowBuf`]: cloning yields a fresh empty buffer.
-impl Clone for GrowBufI8 {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-/// Arenas used by the quantized GEMM path (see
-/// [`crate::kernels::quant_gemm`]): the int8 row buffer the activations are
-/// quantized into, and an `f32` staging buffer for transposed outputs (the
-/// conv layers run the quantized GEMM activation-major and transpose back).
-#[derive(Debug, Default, Clone)]
-pub struct QuantScratch {
-    /// Quantized activation row, `[blocks_per_row * QK8_0]`, zero-padded.
-    pub qa: GrowBufI8,
-    /// Transposed output staging, `[m, n]`.
-    pub out_t: GrowBuf,
-}
-
-impl QuantScratch {
-    /// Creates an empty quantized-path scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Packing panels used inside the blocked GEMM (see [`crate::kernels::gemm`]).
 #[derive(Debug, Default, Clone)]
 pub struct PackScratch {
@@ -237,8 +172,6 @@ pub struct KernelScratch {
     pub weight_t: GrowBuf,
     /// GEMM packing panels.
     pub packs: PackScratch,
-    /// Quantized-GEMM arenas (activation rows + transposed-output staging).
-    pub quant: QuantScratch,
 }
 
 impl KernelScratch {
@@ -261,10 +194,6 @@ thread_local! {
 /// Per-band slots of GEMM packing panels for spawned row bands (see
 /// [`with_band_packs`]). `None` marks a slot currently checked out.
 static BAND_PACKS: Mutex<Vec<Option<PackScratch>>> = Mutex::new(Vec::new());
-
-/// Per-band slots of quantized-GEMM arenas for spawned row bands — the
-/// quantized twin of [`BAND_PACKS`], with identical checkout semantics.
-static BAND_QUANT: Mutex<Vec<Option<QuantScratch>>> = Mutex::new(Vec::new());
 
 /// Marks the current thread as a parallel worker for the guard's lifetime;
 /// kernels consult this to keep their own row-parallel paths serial — the
@@ -342,24 +271,6 @@ pub(crate) fn with_band_packs<R>(band: usize, f: impl FnOnce(&mut PackScratch) -
     out
 }
 
-/// Runs `f` with the [`QuantScratch`] dedicated to spawned row band `band` of
-/// a quantized GEMM. Same band-keyed checkout discipline as
-/// [`with_band_packs`]: band `b` always reuses slot `b`, so repeat runs of a
-/// warmed-up shape perform zero scratch allocations deterministically.
-pub(crate) fn with_band_quant<R>(band: usize, f: impl FnOnce(&mut QuantScratch) -> R) -> R {
-    let mut quant = {
-        let mut slots = BAND_QUANT.lock().expect("band quant pool poisoned");
-        if slots.len() <= band {
-            slots.resize_with(band + 1, || None);
-        }
-        slots[band].take()
-    }
-    .unwrap_or_default();
-    let out = f(&mut quant);
-    BAND_QUANT.lock().expect("band quant pool poisoned")[band] = Some(quant);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,37 +291,6 @@ mod tests {
         );
         assert_eq!(after.reuses - before.reuses, 2);
         assert_eq!(buf.capacity(), 64);
-    }
-
-    #[test]
-    fn grow_buf_i8_shares_counters_and_reuses() {
-        let before = stats();
-        let mut buf = GrowBufI8::new();
-        let s = buf.take(96);
-        assert_eq!(s.len(), 96);
-        let _ = buf.take(32);
-        let after = stats();
-        assert_eq!(after.allocs - before.allocs, 1);
-        assert_eq!(after.reuses - before.reuses, 1);
-        assert_eq!(buf.capacity(), 96);
-        assert_eq!(buf.clone().capacity(), 0, "clone must be fresh");
-    }
-
-    #[test]
-    fn band_quant_slots_reuse_like_band_packs() {
-        // Band indices chosen to be untouched by any quantized GEMM in tests.
-        with_band_quant(93, |q| {
-            let _ = q.qa.take(64);
-            let _ = q.out_t.take(64);
-        });
-        let before = stats();
-        with_band_quant(93, |q| {
-            let _ = q.qa.take(64);
-            let _ = q.out_t.take(32);
-        });
-        let after = stats();
-        assert_eq!(after.allocs, before.allocs);
-        assert!(after.reuses >= before.reuses + 2);
     }
 
     #[test]

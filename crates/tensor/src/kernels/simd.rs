@@ -301,88 +301,7 @@ pub(crate) trait F32x8: Copy {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{F32x8, MR, NR};
-    use crate::quant::{BlockQ8_0, QK8_0};
     use std::arch::x86_64::*;
-
-    /// SSE2 Q8_0 row dot: per block, widen the int8 lanes to int16 with a
-    /// sign-mask unpack (`pmovsxbw` is SSE4.1, which the SSE2 baseline lacks),
-    /// `pmaddwd` the halves into i32 lanes, horizontally sum, then combine in
-    /// f32 exactly like the scalar reference. All integer arithmetic is exact
-    /// (block dot `<= 32 * 127 * 127 < 2^24`), so lane order is irrelevant
-    /// and the result is bit-identical to [`super::quant_row_dot_scalar`].
-    ///
-    /// # Safety
-    ///
-    /// Host must support SSE2 (always true on `x86_64`);
-    /// `qa.len() >= blocks.len() * QK8_0`.
-    #[target_feature(enable = "sse2")]
-    pub(crate) unsafe fn quant_row_dot_sse2(qa: &[i8], blocks: &[BlockQ8_0]) -> f32 {
-        debug_assert!(qa.len() >= blocks.len() * QK8_0);
-        let zero = _mm_setzero_si128();
-        let mut acc = 0.0f32;
-        for (b, block) in blocks.iter().enumerate() {
-            let a_ptr = qa.as_ptr().add(b * QK8_0);
-            let w_ptr = block.qs.as_ptr();
-            let mut sum = _mm_setzero_si128();
-            for half in 0..2 {
-                let av = _mm_loadu_si128(a_ptr.add(half * 16) as *const __m128i);
-                let wv = _mm_loadu_si128(w_ptr.add(half * 16) as *const __m128i);
-                let a_sign = _mm_cmpgt_epi8(zero, av);
-                let w_sign = _mm_cmpgt_epi8(zero, wv);
-                let a_lo = _mm_unpacklo_epi8(av, a_sign);
-                let a_hi = _mm_unpackhi_epi8(av, a_sign);
-                let w_lo = _mm_unpacklo_epi8(wv, w_sign);
-                let w_hi = _mm_unpackhi_epi8(wv, w_sign);
-                sum = _mm_add_epi32(sum, _mm_madd_epi16(a_lo, w_lo));
-                sum = _mm_add_epi32(sum, _mm_madd_epi16(a_hi, w_hi));
-            }
-            acc += block.scale * hsum_epi32_sse2(sum) as f32;
-        }
-        acc
-    }
-
-    /// Horizontal sum of four i32 lanes (exact).
-    ///
-    /// # Safety
-    ///
-    /// Host must support SSE2.
-    #[inline(always)]
-    unsafe fn hsum_epi32_sse2(v: __m128i) -> i32 {
-        let hi64 = _mm_unpackhi_epi64(v, v);
-        let s2 = _mm_add_epi32(v, hi64);
-        let hi32 = _mm_shuffle_epi32::<0b01>(s2);
-        _mm_cvtsi128_si32(_mm_add_epi32(s2, hi32))
-    }
-
-    /// AVX2 Q8_0 row dot: `vpmovsxbw` widens 16 int8 lanes at a time,
-    /// `vpmaddwd` produces i32 pair sums, one horizontal reduction per block.
-    /// Bit-identical to the scalar reference for the same reason as the SSE2
-    /// path (exact integer arithmetic inside each block).
-    ///
-    /// # Safety
-    ///
-    /// Host must support AVX2; `qa.len() >= blocks.len() * QK8_0`.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn quant_row_dot_avx2(qa: &[i8], blocks: &[BlockQ8_0]) -> f32 {
-        debug_assert!(qa.len() >= blocks.len() * QK8_0);
-        let mut acc = 0.0f32;
-        for (b, block) in blocks.iter().enumerate() {
-            let a_ptr = qa.as_ptr().add(b * QK8_0);
-            let w_ptr = block.qs.as_ptr();
-            let mut sum = _mm256_setzero_si256();
-            for half in 0..2 {
-                let av =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(a_ptr.add(half * 16) as *const __m128i));
-                let wv =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(w_ptr.add(half * 16) as *const __m128i));
-                sum = _mm256_add_epi32(sum, _mm256_madd_epi16(av, wv));
-            }
-            let lo = _mm256_castsi256_si128(sum);
-            let hi = _mm256_extracti128_si256::<1>(sum);
-            acc += block.scale * hsum_epi32_sse2(_mm_add_epi32(lo, hi)) as f32;
-        }
-        acc
-    }
 
     /// Two SSE2 `__m128` halves acting as one 8-lane vector.
     #[derive(Clone, Copy)]
@@ -825,60 +744,6 @@ pub(crate) fn microkernel_8x16(
     unreachable!("paired microkernel is x86_64-only");
 }
 
-// ---------------------------------------------------------------------------
-// Q8_0 int8 row-dot kernels (the quantized GEMM's inner loop).
-// ---------------------------------------------------------------------------
-
-/// The scalar Q8_0 row dot — the reference every SIMD path must match
-/// bit-for-bit: per block, an exact int8×int8→i32 dot product (bounded by
-/// `32 * 127² < 2^24`, so the i32→f32 conversion is exact), combined as
-/// `acc += scale * dot` in ascending block order. The combine deliberately
-/// stays a separate `mul` + `add` in every backend and both build tiers —
-/// the quantized path has a *single* numeric contract
-/// (`quantized-tolerance`), not a fused variant.
-fn quant_row_dot_scalar(qa: &[i8], blocks: &[crate::quant::BlockQ8_0]) -> f32 {
-    use crate::quant::QK8_0;
-    let mut acc = 0.0f32;
-    for (b, block) in blocks.iter().enumerate() {
-        let a = &qa[b * QK8_0..(b + 1) * QK8_0];
-        let mut dot = 0i32;
-        for (x, w) in a.iter().zip(block.qs.iter()) {
-            dot += i32::from(*x) * i32::from(*w);
-        }
-        acc += block.scale * dot as f32;
-    }
-    acc
-}
-
-/// Dot product of a quantized activation row against one reduction row of a
-/// [`crate::quant::QuantMatrix`], dispatched on `isa` (resolved once per
-/// GEMM by the caller). AVX-512 hosts use the AVX2 path — with 32-element
-/// blocks the reduction is latency-bound, not width-bound, mirroring the f32
-/// kernel's 4x16 fallback for odd strips.
-///
-/// # Panics
-///
-/// Panics if `qa` is shorter than `blocks.len() * QK8_0`.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unreachable_patterns))]
-pub(crate) fn quant_row_dot(isa: Isa, qa: &[i8], blocks: &[crate::quant::BlockQ8_0]) -> f32 {
-    assert!(
-        qa.len() >= blocks.len() * crate::quant::QK8_0,
-        "quantized activation row shorter than the weight row"
-    );
-    match isa {
-        Isa::Scalar => quant_row_dot_scalar(qa, blocks),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `isa` comes from `active_isa` (host-clamped) and the row
-        // length is asserted above.
-        Isa::Sse2 => unsafe { x86::quant_row_dot_sse2(qa, blocks) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; AVX-512 hosts always support AVX2.
-        Isa::Avx2 | Isa::Avx512 => unsafe { x86::quant_row_dot_avx2(qa, blocks) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => quant_row_dot_scalar(qa, blocks),
-    }
-}
-
 /// Serializes tests that install [`force_isa`] or [`force_fused`]
 /// overrides. The overrides are process-global; without this, concurrently
 /// running tests could observe each other's overrides (on the default build
@@ -941,31 +806,6 @@ mod tests {
         if !cfg!(feature = "fast-kernels") {
             assert!(!fused_for_isa(Isa::Avx2) && !fused_for_isa(Isa::Avx512));
             assert!(!fma_supported() && !fused_active());
-        }
-    }
-
-    #[test]
-    fn quant_row_dot_is_bit_identical_on_every_isa() {
-        use crate::quant::{quantize_f32, QK8_0};
-        use crate::rng::SeededRng;
-        let mut rng = SeededRng::new(88);
-        for blocks_n in [1usize, 2, 5] {
-            let w: Vec<f32> = (0..blocks_n * QK8_0)
-                .map(|_| rng.uniform(-2.0, 2.0))
-                .collect();
-            let blocks = quantize_f32(&w);
-            let qa: Vec<i8> = (0..blocks_n * QK8_0)
-                .map(|_| (rng.below(255) as i32 - 127) as i8)
-                .collect();
-            let want = quant_row_dot_scalar(&qa, &blocks);
-            for isa in supported_isas() {
-                let got = quant_row_dot(isa, &qa, &blocks);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "quant dot diverges on {isa} ({got:e} vs {want:e})"
-                );
-            }
         }
     }
 

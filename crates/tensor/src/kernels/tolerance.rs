@@ -18,10 +18,6 @@
 //!   `f64`), not with a hand-tuned epsilon.
 //! * [`gemm_abs_scales`] — the per-output-element `Σ|aₚ·bₚ| (+ |seed|)`
 //!   magnitudes for a GEMM, feeding the bound above.
-//! * [`quantization_bound`] / [`check_quantized`] — the per-value half-step
-//!   bound behind the **quantized-tolerance** contract: Q8_0 block scales
-//!   are powers of two, so rounding to the int8 grid is the only error
-//!   source and half a scale step is a tight bound, not an estimate.
 //! * [`check_within`] / [`check_accumulation`] — non-panicking checkers
 //!   (tests of the harness itself assert `Err` without `catch_unwind`).
 //! * [`assert_matches_reference`] — the suite-facing assertion: **bit**
@@ -159,31 +155,6 @@ pub fn check_within(got: &[f32], want: &[f32], bounds: &[f64]) -> Result<(), Str
     Ok(())
 }
 
-/// Worst-case absolute reconstruction error of one value quantized to Q8_0
-/// with block scale `scale`: half a quantization step. Because every block
-/// scale is a power of two ([`crate::quant::q8_block_scale`]), `x / scale`
-/// is exact and rounding to the int8 grid is the *only* error source — the
-/// half-ulp bound is tight, not an estimate. One `f32::MIN_POSITIVE` of
-/// slack absorbs subnormal rounding when the scale clamp engages.
-///
-/// This is the per-value term of the `quantized-tolerance` contract
-/// ([`super::NumericContract::QuantizedTolerance`]); reductions over
-/// quantized values additionally accrue [`accumulation_bound`] across their
-/// block sums.
-pub fn quantization_bound(scale: f32) -> f64 {
-    debug_assert!(scale >= 0.0);
-    0.5 * f64::from(scale) + f64::from(f32::MIN_POSITIVE)
-}
-
-/// [`check_within`] for quantized reconstructions: `got` (the dequantized
-/// values) must sit within [`quantization_bound`]`(scales[i])` of `want`
-/// (the f32 originals), with one scale per element (broadcast a block's
-/// scale across its 32 values).
-pub fn check_quantized(got: &[f32], want: &[f32], scales: &[f32]) -> Result<(), String> {
-    let bounds: Vec<f64> = scales.iter().map(|&s| quantization_bound(s)).collect();
-    check_within(got, want, &bounds)
-}
-
 /// [`check_within`] with per-element bounds built from
 /// [`accumulation_bound`]`(steps, scales[i])`.
 pub fn check_accumulation(
@@ -292,93 +263,6 @@ mod tests {
             diverging > 100,
             "seeded sweep must hit many genuinely diverging cases, got {diverging}"
         );
-    }
-
-    /// The quantized-tolerance harness must *detect* genuine quantization
-    /// error, exactly as the fma teeth test above detects fused rounding:
-    /// seeded adversarial blocks — all-max ties, tiny-scale (subnormal)
-    /// blocks, sign-flip patterns — reconstruct within the half-step
-    /// [`quantization_bound`], genuinely diverging values report a nonzero
-    /// ulp distance, and a **zero** bound must fail on them. A harness that
-    /// rubber-stamps everything dies here.
-    #[test]
-    fn quantization_divergence_is_detected_and_tightly_bounded() {
-        use crate::quant::{dequantize, quantize_block, QK8_0};
-
-        fn exercise(src: &[f32; QK8_0], diverging: &mut usize, tag: &str) {
-            let block = quantize_block(src);
-            let mut out = [0.0f32; QK8_0];
-            dequantize(&[block], &mut out);
-            let scales = [block.scale; QK8_0];
-            check_quantized(&out, src, &scales)
-                .unwrap_or_else(|e| panic!("{tag}: reconstruction broke the half-step bound: {e}"));
-            for (&g, &w) in out.iter().zip(src.iter()) {
-                if (f64::from(g) - f64::from(w)).abs() > 0.0 {
-                    *diverging += 1;
-                    assert!(ulp_distance(g, w) >= 1);
-                    assert!(
-                        check_within(&[g], &[w], &[0.0]).is_err(),
-                        "{tag}: a zero bound must fail on {w} -> {g}"
-                    );
-                }
-            }
-        }
-
-        let mut rng = SeededRng::new(0x08_00);
-        let mut diverging = 0usize;
-        for _ in 0..200 {
-            // All-max ties: every entry is ±absmax, so every entry carries
-            // the identical (usually nonzero) rounding error.
-            let absmax = rng.uniform(0.5, 2.0);
-            let mut ties = [0.0f32; QK8_0];
-            for v in ties.iter_mut() {
-                *v = if rng.bernoulli(0.5) { absmax } else { -absmax };
-            }
-            exercise(&ties, &mut diverging, "all-max ties");
-
-            // Tiny-scale blocks: subnormal magnitudes engage the 2^-126
-            // scale clamp, the regime the MIN_POSITIVE slack exists for.
-            let mut tiny = [0.0f32; QK8_0];
-            for v in tiny.iter_mut() {
-                let sub = f32::from_bits((rng.next_u64() % (1u64 << 23)) as u32);
-                *v = if rng.bernoulli(0.5) { sub } else { -sub };
-            }
-            exercise(&tiny, &mut diverging, "tiny-scale");
-
-            // Sign flips: alternating signs with varied magnitudes, rounding
-            // in both directions within one block.
-            let mut flips = [0.0f32; QK8_0];
-            for (i, v) in flips.iter_mut().enumerate() {
-                let mag = rng.uniform(0.01, 1.0);
-                *v = if i % 2 == 0 { mag } else { -mag };
-            }
-            exercise(&flips, &mut diverging, "sign flips");
-        }
-        assert!(
-            diverging > 1000,
-            "seeded sweep must hit many genuinely diverging values, got {diverging}"
-        );
-    }
-
-    /// [`check_quantized`] rejects values beyond the half-step bound —
-    /// the quantized contract has teeth against a broken kernel, not just
-    /// against rounding.
-    #[test]
-    fn check_quantized_rejects_beyond_half_step_values() {
-        let want = [1.0f32, -0.5, 0.25];
-        let scales = [0.015625f32; 3]; // 2^-6
-        let mut got = want;
-        got[1] += 0.0079; // just beyond scale/2 = 0.0078125
-        assert!(check_quantized(&got, &want, &scales).is_err());
-        let mut close = want;
-        close[2] += 0.0078; // just inside
-        assert!(check_quantized(&close, &want, &scales).is_ok());
-        // NaN never passes.
-        let bad = [f32::NAN, -0.5, 0.25];
-        assert!(check_quantized(&bad, &want, &scales).is_err());
-        // Zero scale admits only exact (or subnormal-slack) reconstruction.
-        assert!(check_quantized(&[0.5], &[1.0], &[0.0]).is_err());
-        assert!(check_quantized(&[1.0], &[1.0], &[0.0]).is_ok());
     }
 
     #[test]

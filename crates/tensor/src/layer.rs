@@ -97,32 +97,6 @@ pub trait Layer: Send + Sync {
     /// evaluation replicas call this after cloning so they do not retain
     /// copies of the source model's cached training activations.
     fn clear_cache(&mut self) {}
-
-    /// Switches this layer's inference path to the quantized (Q8_0) weight
-    /// tier, returning one [`crate::quant::QuantLayerReport`] per quantized
-    /// parameter tensor. Layers without a quantized path (the default)
-    /// return an empty vector and keep computing in f32; containers
-    /// aggregate their children's reports. Quantization affects **eval**
-    /// forwards only — training always runs the f32 path.
-    fn quantize_weights(&mut self) -> Vec<crate::quant::QuantLayerReport> {
-        Vec::new()
-    }
-
-    /// Whether this layer (or, for containers, any child) currently serves
-    /// eval forwards from quantized weights.
-    fn is_quantized(&self) -> bool {
-        false
-    }
-
-    /// Starts activation-scale calibration: during subsequent eval forwards
-    /// a quantized layer observes the absolute maximum of its inputs
-    /// instead of committing to a static scale. No-op for f32 layers.
-    fn begin_calibration(&mut self) {}
-
-    /// Freezes the observed activation statistics into static power-of-two
-    /// input scales (see `crate::quant::q8_block_scale`) and leaves
-    /// calibration mode. No-op for f32 layers or if nothing was observed.
-    fn end_calibration(&mut self) {}
 }
 
 impl Clone for Box<dyn Layer> {

@@ -23,23 +23,8 @@
 use crate::init::Init;
 use crate::kernels::{self, GemmInit};
 use crate::layer::{Layer, Param};
-use crate::quant::{q8_block_scale, QuantLayerReport, QuantMatrix};
 use crate::rng::SeededRng;
 use crate::tensor::Tensor;
-
-/// Quantized-tier state for a [`Conv2d`]: the Q8_0 weight matrix (one
-/// reduction row of length `in_c*k*k` per output channel — exactly the f32
-/// weight layout) plus activation-calibration state. [`DepthwiseConv2d`]
-/// deliberately has no quantized tier: its per-channel `k*k` reductions are
-/// too short for int8 blocking to pay off, and its f32 path already runs on
-/// the small-problem GEMM.
-#[derive(Debug, Clone)]
-struct QuantConv {
-    weight: QuantMatrix,
-    act_scale: Option<f32>,
-    observed_absmax: f32,
-    observing: bool,
-}
 
 fn conv_output_hw(
     h: usize,
@@ -78,7 +63,6 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
-    quant: Option<QuantConv>,
 }
 
 impl Conv2d {
@@ -116,7 +100,6 @@ impl Conv2d {
             stride,
             padding,
             cached_input: None,
-            quant: None,
         }
     }
 
@@ -167,70 +150,15 @@ impl Layer for Conv2d {
         let (oh, ow) = conv_output_hw(h, w, k, self.stride, self.padding);
         let (s, ckk) = (oh * ow, c * k * k);
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let oc = self.out_channels;
         let x = input.data();
         let wgt = self.weight.value.data();
         let bias = self.bias.value.data();
         let odata = out.data_mut();
         let pointwise = self.is_pointwise();
-        if !train {
-            if let Some(q) = self.quant.as_mut() {
-                if q.observing {
-                    q.observed_absmax = x.iter().fold(q.observed_absmax, |m, &v| m.max(v.abs()));
-                }
-                // Quantized eval path: the GEMM runs transposed —
-                // `cols^T [s, ckk] x W` with one activation scale per
-                // spatial position (each output pixel's receptive field),
-                // the weight rows being the Q8_0 output-channel filters.
-                // The [s, oc] result transposes back into the NCHW output.
-                let act_scale = q.act_scale;
-                let qw = &q.weight;
-                kernels::with_thread_scratch(|scratch| {
-                    for b in 0..n {
-                        let xb = &x[b * c * h * w..(b + 1) * c * h * w];
-                        let ob = &mut odata[b * oc * s..(b + 1) * oc * s];
-                        let cols: &[f32] = if pointwise {
-                            xb
-                        } else {
-                            let cols = scratch.cols.take(ckk * s);
-                            kernels::im2col(
-                                xb,
-                                c,
-                                h,
-                                w,
-                                k,
-                                self.stride,
-                                self.padding,
-                                oh,
-                                ow,
-                                cols,
-                            );
-                            cols
-                        };
-                        let cols_t = scratch.cols_t.take(s * ckk);
-                        kernels::transpose_into(cols, ckk, s, cols_t);
-                        let out_t = scratch.quant.out_t.take(s * oc);
-                        kernels::quant_gemm::quant_gemm_into_qa(
-                            s,
-                            ckk,
-                            oc,
-                            cols_t,
-                            qw,
-                            Some(bias),
-                            act_scale,
-                            out_t,
-                            &mut scratch.quant.qa,
-                        );
-                        kernels::transpose_into(out_t, s, oc, ob);
-                    }
-                });
-                return out;
-            }
-        }
         kernels::with_thread_scratch(|scratch| {
             for b in 0..n {
                 let xb = &x[b * c * h * w..(b + 1) * c * h * w];
-                let ob = &mut odata[b * oc * s..(b + 1) * oc * s];
+                let ob = &mut odata[b * self.out_channels * s..(b + 1) * self.out_channels * s];
                 let cols: &[f32] = if pointwise {
                     xb
                 } else {
@@ -239,7 +167,7 @@ impl Layer for Conv2d {
                     cols
                 };
                 kernels::gemm_into(
-                    oc,
+                    self.out_channels,
                     ckk,
                     s,
                     wgt,
@@ -376,52 +304,10 @@ impl Layer for Conv2d {
     fn name(&self) -> &'static str {
         "Conv2d"
     }
-
-    fn quantize_weights(&mut self) -> Vec<QuantLayerReport> {
-        // The f32 weight [oc, c, k, k] is already row-major [oc, c*k*k] —
-        // exactly the reduction-row layout the quantized GEMM wants.
-        let w = self.weight.value.data();
-        let ckk = self.in_channels * self.kernel * self.kernel;
-        let qm = QuantMatrix::from_rows(w, self.out_channels, ckk);
-        let report = qm.report_against_rows(self.name(), w);
-        self.quant = Some(QuantConv {
-            weight: qm,
-            act_scale: None,
-            observed_absmax: 0.0,
-            observing: false,
-        });
-        vec![report]
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    fn begin_calibration(&mut self) {
-        if let Some(q) = self.quant.as_mut() {
-            q.observing = true;
-            q.observed_absmax = 0.0;
-            q.act_scale = None;
-        }
-    }
-
-    fn end_calibration(&mut self) {
-        if let Some(q) = self.quant.as_mut() {
-            if q.observing && q.observed_absmax > 0.0 {
-                // Padding contributes only zeros to the im2col rows, so the
-                // input absmax is the receptive-field absmax.
-                q.act_scale = Some(q8_block_scale(q.observed_absmax));
-            }
-            q.observing = false;
-        }
-    }
 }
 
 /// Depthwise 2-D convolution: each input channel is convolved with its own
 /// single-channel kernel (the building block of MobileNet-style models).
-/// Has no quantized tier (see [`Layer::quantize_weights`]): its per-channel
-/// `k*k` reductions are shorter than one Q8_0 block, so it stays f32 even in
-/// a quantized model — the containers' reports simply skip it.
 #[derive(Debug, Clone)]
 pub struct DepthwiseConv2d {
     weight: Param,
@@ -707,98 +593,6 @@ mod tests {
         let conv = Conv2d::new(16, 16, 3, 1, 1, &mut rng);
         let dw = DepthwiseConv2d::new(16, 3, 1, 1, &mut rng);
         assert!(dw.flops(&[16, 8, 8]) < conv.flops(&[16, 8, 8]) / 8);
-    }
-
-    #[test]
-    fn quantized_conv_eval_matches_direct_kernel_and_tracks_f32() {
-        let mut rng = SeededRng::new(0x0A11);
-        let mut conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
-        conv.bias.value = Tensor::randn(&[8], &mut rng);
-        let x = Tensor::randn(&[2, 3, 8, 8], &mut rng);
-        let f32_out = conv.forward(&x, false);
-        let reports = conv.quantize_weights();
-        assert!(conv.is_quantized());
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].layer, "Conv2d");
-        assert!(reports[0].within_bound());
-        let q_out = conv.forward(&x, false);
-        assert_eq!(q_out.shape(), f32_out.shape());
-        // Plumbing is exact: the layer is im2col -> transpose -> quantized
-        // GEMM -> transpose, bit for bit.
-        let (s, ckk) = (64usize, 27usize);
-        let qm = QuantMatrix::from_rows(conv.weight.value.data(), 8, ckk);
-        let mut cols = vec![0.0f32; ckk * s];
-        let mut cols_t = vec![0.0f32; s * ckk];
-        let mut out_t = vec![0.0f32; s * 8];
-        let mut expect = vec![0.0f32; 2 * 8 * s];
-        let mut scratch = kernels::QuantScratch::new();
-        for b in 0..2 {
-            let xb = &x.data()[b * 3 * 64..(b + 1) * 3 * 64];
-            kernels::im2col(xb, 3, 8, 8, 3, 1, 1, 8, 8, &mut cols);
-            kernels::transpose_into(&cols, ckk, s, &mut cols_t);
-            kernels::quant_gemm_into(
-                s,
-                ckk,
-                8,
-                &cols_t,
-                &qm,
-                Some(conv.bias.value.data()),
-                None,
-                &mut out_t,
-                &mut scratch,
-            );
-            kernels::transpose_into(&out_t, s, 8, &mut expect[b * 8 * s..(b + 1) * 8 * s]);
-        }
-        for (a, b) in q_out.data().iter().zip(&expect) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Close to the f32 output on unit-scale data.
-        for (a, b) in q_out.data().iter().zip(f32_out.data()) {
-            assert!((a - b).abs() < 0.3, "quantized {a} too far from f32 {b}");
-        }
-        // Training forwards ignore quantization, bit for bit.
-        let trained = conv.forward(&x, true);
-        for (a, b) in trained.data().iter().zip(f32_out.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn quantized_pointwise_conv_runs_without_im2col() {
-        let mut rng = SeededRng::new(0x0A12);
-        let mut conv = Conv2d::new(4, 6, 1, 1, 0, &mut rng);
-        let x = Tensor::randn(&[1, 4, 5, 5], &mut rng);
-        let f32_out = conv.forward(&x, false);
-        conv.quantize_weights();
-        let q_out = conv.forward(&x, false);
-        assert_eq!(q_out.shape(), f32_out.shape());
-        for (a, b) in q_out.data().iter().zip(f32_out.data()) {
-            assert!((a - b).abs() < 0.3);
-        }
-    }
-
-    #[test]
-    fn conv_calibration_freezes_input_scale() {
-        let mut rng = SeededRng::new(0x0A13);
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
-        let x = Tensor::randn(&[1, 2, 6, 6], &mut rng);
-        conv.quantize_weights();
-        conv.begin_calibration();
-        let _ = conv.forward(&x, false);
-        conv.end_calibration();
-        let absmax = x.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        assert_eq!(
-            conv.quant.as_ref().unwrap().act_scale,
-            Some(q8_block_scale(absmax))
-        );
-    }
-
-    #[test]
-    fn depthwise_has_no_quantized_tier() {
-        let mut rng = SeededRng::new(0x0A14);
-        let mut dw = DepthwiseConv2d::new(4, 3, 1, 1, &mut rng);
-        assert!(dw.quantize_weights().is_empty());
-        assert!(!dw.is_quantized());
     }
 
     #[test]

@@ -1,25 +1,9 @@
 //! Fully-connected (dense) layer.
 
 use crate::init::Init;
-use crate::kernels::{quant_gemm_into, with_thread_scratch};
 use crate::layer::{Layer, Param};
-use crate::quant::{q8_block_scale, QuantLayerReport, QuantMatrix};
 use crate::rng::SeededRng;
 use crate::tensor::Tensor;
-
-/// Quantized-tier state for a [`Dense`] layer: the Q8_0 weight matrix plus
-/// activation-scale calibration state. Present only after
-/// [`Layer::quantize_weights`]; eval forwards then run the int8 GEMM while
-/// training keeps using the f32 weights.
-#[derive(Debug, Clone)]
-struct QuantDense {
-    weight: QuantMatrix,
-    /// Static power-of-two activation scale frozen by calibration; `None`
-    /// selects dynamic per-row absmax quantization.
-    act_scale: Option<f32>,
-    observed_absmax: f32,
-    observing: bool,
-}
 
 /// A fully-connected layer: `y = x W + b` with `W: [in, out]`, `b: [out]`.
 ///
@@ -41,7 +25,6 @@ pub struct Dense {
     in_features: usize,
     out_features: usize,
     cached_input: Option<Tensor>,
-    quant: Option<QuantDense>,
 }
 
 impl Dense {
@@ -64,7 +47,6 @@ impl Dense {
             in_features,
             out_features,
             cached_input: None,
-            quant: None,
         }
     }
 
@@ -104,30 +86,6 @@ impl Layer for Dense {
             self.cached_input = Some(input.clone());
         } else {
             self.cached_input = None;
-            if let Some(q) = self.quant.as_mut() {
-                if q.observing {
-                    q.observed_absmax = input
-                        .data()
-                        .iter()
-                        .fold(q.observed_absmax, |acc, &x| acc.max(x.abs()));
-                }
-                let m = input.shape()[0];
-                let mut out = Tensor::zeros(&[m, self.out_features]);
-                with_thread_scratch(|s| {
-                    quant_gemm_into(
-                        m,
-                        self.in_features,
-                        self.out_features,
-                        input.data(),
-                        &q.weight,
-                        Some(self.bias.value.data()),
-                        q.act_scale,
-                        out.data_mut(),
-                        &mut s.quant,
-                    );
-                });
-                return out;
-            }
         }
         // Fused GEMM + bias: bit-identical to matmul + add_row_broadcast
         // (the bias joins after each element's full K accumulation) without
@@ -163,49 +121,6 @@ impl Layer for Dense {
 
     fn name(&self) -> &'static str {
         "Dense"
-    }
-
-    fn quantize_weights(&mut self) -> Vec<QuantLayerReport> {
-        let w = self.weight.value.data();
-        let (k, n) = (self.in_features, self.out_features);
-        // Gather columns into the from_rows layout so the round-trip report
-        // can compare against the exact blocks that were quantized.
-        let mut gathered = vec![0.0f32; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                gathered[j * k + p] = w[p * n + j];
-            }
-        }
-        let qm = QuantMatrix::from_rows(&gathered, n, k);
-        let report = qm.report_against_rows(self.name(), &gathered);
-        self.quant = Some(QuantDense {
-            weight: qm,
-            act_scale: None,
-            observed_absmax: 0.0,
-            observing: false,
-        });
-        vec![report]
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    fn begin_calibration(&mut self) {
-        if let Some(q) = self.quant.as_mut() {
-            q.observing = true;
-            q.observed_absmax = 0.0;
-            q.act_scale = None;
-        }
-    }
-
-    fn end_calibration(&mut self) {
-        if let Some(q) = self.quant.as_mut() {
-            if q.observing && q.observed_absmax > 0.0 {
-                q.act_scale = Some(q8_block_scale(q.observed_absmax));
-            }
-            q.observing = false;
-        }
     }
 }
 
@@ -254,91 +169,6 @@ mod tests {
         let x = Tensor::randn(&[2, 4], &mut rng);
         let _ = layer.forward(&x, false);
         let _ = layer.backward(&Tensor::ones(&[2, 3]));
-    }
-
-    #[test]
-    fn quantized_eval_forward_matches_kernel_and_tracks_f32() {
-        let mut rng = SeededRng::new(7);
-        let mut layer = Dense::new(64, 16, &mut rng);
-        let x = Tensor::randn(&[8, 64], &mut rng);
-        let f32_out = layer.forward(&x, false);
-        let reports = layer.quantize_weights();
-        assert!(layer.is_quantized());
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].layer, "Dense");
-        assert_eq!(reports[0].params, 64 * 16);
-        assert!(reports[0].within_bound(), "weight round-trip broke bound");
-        let q_out = layer.forward(&x, false);
-        assert_eq!(q_out.shape(), f32_out.shape());
-        // Plumbing is exact: the layer's quantized forward is the raw kernel
-        // on QuantMatrix::from_b of its weights, bit for bit.
-        let qm = QuantMatrix::from_b(layer.weight.value.data(), 64, 16);
-        let mut want = vec![0.0f32; 8 * 16];
-        let mut scratch = crate::kernels::QuantScratch::new();
-        quant_gemm_into(
-            8,
-            64,
-            16,
-            x.data(),
-            &qm,
-            Some(layer.bias.value.data()),
-            None,
-            &mut want,
-            &mut scratch,
-        );
-        for (a, b) in q_out.data().iter().zip(&want) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // And close to the f32 output on unit-scale data.
-        for (a, b) in q_out.data().iter().zip(f32_out.data()) {
-            assert!((a - b).abs() < 0.2, "quantized {a} too far from f32 {b}");
-        }
-    }
-
-    #[test]
-    fn calibration_freezes_a_static_scale() {
-        let mut rng = SeededRng::new(8);
-        let mut layer = Dense::new(32, 4, &mut rng);
-        let x = Tensor::randn(&[4, 32], &mut rng);
-        layer.quantize_weights();
-        layer.begin_calibration();
-        let _ = layer.forward(&x, false);
-        layer.end_calibration();
-        let absmax = x.data().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let s = q8_block_scale(absmax);
-        assert_eq!(layer.quant.as_ref().unwrap().act_scale, Some(s));
-        // The calibrated forward is the kernel with that static scale.
-        let calibrated = layer.forward(&x, false);
-        let qm = QuantMatrix::from_b(layer.weight.value.data(), 32, 4);
-        let mut want = vec![0.0f32; 4 * 4];
-        let mut scratch = crate::kernels::QuantScratch::new();
-        quant_gemm_into(
-            4,
-            32,
-            4,
-            x.data(),
-            &qm,
-            Some(layer.bias.value.data()),
-            Some(s),
-            &mut want,
-            &mut scratch,
-        );
-        for (a, b) in calibrated.data().iter().zip(&want) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn training_forward_ignores_quantization() {
-        let mut rng = SeededRng::new(9);
-        let mut layer = Dense::new(16, 8, &mut rng);
-        let x = Tensor::randn(&[2, 16], &mut rng);
-        let before = layer.forward(&x, true);
-        layer.quantize_weights();
-        let after = layer.forward(&x, true);
-        for (a, b) in before.data().iter().zip(after.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -113,32 +113,6 @@ impl Layer for Residual {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
-
-    fn quantize_weights(&mut self) -> Vec<crate::quant::QuantLayerReport> {
-        let mut reports = self.body.quantize_weights();
-        if let Some(s) = &mut self.shortcut {
-            reports.extend(s.quantize_weights());
-        }
-        reports
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.body.is_quantized() || self.shortcut.as_ref().is_some_and(|s| s.is_quantized())
-    }
-
-    fn begin_calibration(&mut self) {
-        self.body.begin_calibration();
-        if let Some(s) = &mut self.shortcut {
-            s.begin_calibration();
-        }
-    }
-
-    fn end_calibration(&mut self) {
-        self.body.end_calibration();
-        if let Some(s) = &mut self.shortcut {
-            s.end_calibration();
-        }
-    }
 }
 
 #[cfg(test)]

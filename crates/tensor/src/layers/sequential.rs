@@ -159,29 +159,6 @@ impl Layer for Sequential {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
-
-    fn quantize_weights(&mut self) -> Vec<crate::quant::QuantLayerReport> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.quantize_weights())
-            .collect()
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.layers.iter().any(|l| l.is_quantized())
-    }
-
-    fn begin_calibration(&mut self) {
-        for layer in &mut self.layers {
-            layer.begin_calibration();
-        }
-    }
-
-    fn end_calibration(&mut self) {
-        for layer in &mut self.layers {
-            layer.end_calibration();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -63,7 +63,6 @@ pub mod layers;
 pub mod loss;
 pub mod metrics;
 pub mod optim;
-pub mod quant;
 pub mod rng;
 pub mod tensor;
 

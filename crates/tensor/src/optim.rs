@@ -2,7 +2,7 @@
 
 use crate::layer::Param;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Gradient clipping configuration (global L2 norm).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +40,7 @@ impl GradClip {
 }
 
 /// Learning-rate schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum LrSchedule {
     /// Constant learning rate.
     Constant,

@@ -6,7 +6,7 @@
 
 use crate::error::TensorError;
 use crate::rng::SeededRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A dense, row-major `f32` tensor.
@@ -24,7 +24,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

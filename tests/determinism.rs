@@ -203,3 +203,43 @@ fn micro_batched_submission_matches_whole_batch_classification() {
         assert_eq!(engine.stats().requests, images.shape()[0] as u64);
     }
 }
+
+#[test]
+fn batch_responses_do_not_depend_on_a_poisoned_neighbour() {
+    // Per-sample purity: a response's bits must not depend on what shares its
+    // batch. Frame 5 is filled with a non-finite or huge value; every other
+    // frame must answer exactly as it does alone at batch 1.
+    const N: usize = 16;
+    const POISONED: usize = 5;
+    let mut rng = SeededRng::new(31);
+    let clean = Tensor::randn(&[N, 3, 12, 12], &mut rng);
+    let (net, big) = seeded_models();
+    let mut engine = Engine::builder().appealnet(net).big(big).build().unwrap();
+    let alone: Vec<InferenceResponse> = (0..N)
+        .map(|i| {
+            engine
+                .classify_batch(&clean.select_rows(&[i]))
+                .unwrap()
+                .remove(0)
+        })
+        .collect();
+    let frame = clean.len() / N;
+    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30] {
+        let mut images = clean.clone();
+        images.data_mut()[POISONED * frame..(POISONED + 1) * frame].fill(poison);
+        let batched = engine.classify_batch(&images).unwrap();
+        assert_eq!(batched.len(), N);
+        for (i, (a, b)) in alone.iter().zip(batched.iter()).enumerate() {
+            if i == POISONED {
+                continue;
+            }
+            assert_eq!(a.label, b.label, "poison {poison}, sample {i}: label");
+            assert_eq!(a.route, b.route, "poison {poison}, sample {i}: route");
+            assert_eq!(
+                a.score.to_bits(),
+                b.score.to_bits(),
+                "poison {poison}, sample {i}: score"
+            );
+        }
+    }
+}

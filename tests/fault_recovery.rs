@@ -66,6 +66,20 @@ fn run(config: FleetConfig, trace: &TraceSpec) -> FleetMetrics {
         .run(trace)
 }
 
+/// Three bounded attempts per appeal and no breaker: the retry budget is the
+/// only defense against a dead cloud.
+fn retries_without_breaker() -> RecoveryConfig {
+    RecoveryConfig {
+        appeal_deadline_ms: 20.0,
+        retry: RetryConfig {
+            max_attempts: 3,
+            base_backoff_ms: 2.0,
+            max_backoff_ms: 10.0,
+        },
+        breaker: None,
+    }
+}
+
 fn checked(metrics: &FleetMetrics) {
     let violations = metrics.check();
     assert!(violations.is_empty(), "{violations:?}");
@@ -115,16 +129,10 @@ fn retry_budget_exhaustion_degrades_to_the_little_net() {
         }],
     )
     .unwrap();
-    let recovery = RecoveryConfig {
-        appeal_deadline_ms: 20.0,
-        retry: RetryConfig {
-            max_attempts: 3,
-            base_backoff_ms: 2.0,
-            max_backoff_ms: 10.0,
-        },
-        breaker: None,
-    };
-    let m = run(config(0.9, plan, Some(recovery)), &trace(192, 2 * MS));
+    let m = run(
+        config(0.9, plan, Some(retries_without_breaker())),
+        &trace(192, 2 * MS),
+    );
     checked(&m);
     assert_eq!(m.cloud_answered, 0, "a blacked-out cloud answers nothing");
     assert_eq!(m.completed, 192, "no request may strand");
@@ -141,6 +149,48 @@ fn retry_budget_exhaustion_degrades_to_the_little_net() {
         m.degraded_agreement.is_some(),
         "degraded answers must report their counterfactual accuracy"
     );
+}
+
+/// A permanent blackout forces every appeal down to `DegradedLocal`, where
+/// the little net answers. The counterfactual `degraded_agreement` ledger
+/// must reconcile: it is present exactly when degraded requests exist, stays
+/// a valid fraction, and the faulted run replays byte-for-byte. A healthy
+/// control run degrades nothing, so its ledger is absent.
+#[test]
+fn degraded_agreement_reconciles_under_a_full_blackout() {
+    let plan = FaultPlan::new(
+        2021,
+        vec![FaultEvent::CloudBlackout {
+            from_nanos: 0,
+            until_nanos: u64::MAX,
+        }],
+    )
+    .unwrap();
+    let blackout = || config(0.9, plan.clone(), Some(retries_without_breaker()));
+    let m = run(blackout(), &trace(192, 2 * MS));
+    checked(&m);
+    assert_eq!(m.completed, 192, "no request may strand");
+    assert!(m.degraded_local > 0, "the blackout must force degradation");
+    let agreement = m
+        .degraded_agreement
+        .expect("degraded requests exist, so the counterfactual ledger must too");
+    assert!(
+        (0.0..=1.0).contains(&agreement),
+        "degraded_agreement must be a fraction, got {agreement}"
+    );
+    assert_eq!(
+        m.render(),
+        run(blackout(), &trace(192, 2 * MS)).render(),
+        "a blacked-out run must replay byte-for-byte"
+    );
+
+    let healthy = run(
+        config(0.9, FaultPlan::none(), Some(retries_without_breaker())),
+        &trace(192, 2 * MS),
+    );
+    checked(&healthy);
+    assert_eq!(healthy.degraded_local, 0);
+    assert!(healthy.degraded_agreement.is_none());
 }
 
 /// A transient outage walks the breaker through its whole state machine:
