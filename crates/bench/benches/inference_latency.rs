@@ -2,14 +2,24 @@
 //! the big network, and of the full collaborative routing step — the runtime
 //! costs the paper's cost model (Eq. 5 / Eq. 15) abstracts into c1 and c0.
 
-use appeal_hw::SystemModel;
-use appeal_models::{ModelFamily, ModelSpec};
+use appeal_models::{ClassifierParts, ModelFamily, ModelSpec};
 use appeal_tensor::{SeededRng, Tensor};
 use appealnet_core::parallel::ChunkPolicy;
-use appealnet_core::system::CollaborativeSystem;
+use appealnet_core::serve::{Engine, ThresholdPolicy};
 use appealnet_core::two_head::TwoHeadNet;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+
+/// A fixed-threshold (Eq. 1, δ = 0.5) engine with the given batch sharding.
+fn threshold_engine(net: TwoHeadNet, big: ClassifierParts, chunk: ChunkPolicy) -> Engine {
+    Engine::builder()
+        .appealnet(net)
+        .big(big)
+        .policy(ThresholdPolicy::new(0.5).expect("0.5 is a valid threshold"))
+        .chunk_policy(chunk)
+        .build()
+        .expect("scorer and big model are set")
+}
 
 fn bench_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference_latency");
@@ -32,14 +42,13 @@ fn bench_inference(c: &mut Criterion) {
     let little = ModelSpec::little(ModelFamily::MobileNetLike, [3, 12, 12], 10).build(&mut rng);
     let net = TwoHeadNet::from_parts(little, &mut rng);
     let big = ModelSpec::big([3, 12, 12], 10).build(&mut rng);
-    let mut system = CollaborativeSystem::new(net, big, 0.5, SystemModel::typical())
-        .expect("0.5 is a valid threshold");
+    let mut engine = threshold_engine(net, big, ChunkPolicy::runtime());
     let batch = Tensor::randn(&[16, 3, 12, 12], &mut rng);
     group.bench_function("collaborative_routing_16_images", |b| {
-        b.iter(|| system.classify(black_box(&batch)))
+        b.iter(|| engine.classify_batch(black_box(&batch)))
     });
 
-    // Sequential vs rayon-sharded routing of larger batches: both systems
+    // Sequential vs rayon-sharded routing of larger batches: both engines
     // share one set of trained weights (cloned), so they route identically
     // and differ only in the batch execution strategy. The parallel path
     // wins once the batch is big enough to amortize the fan-out (it degrades
@@ -49,30 +58,24 @@ fn bench_inference(c: &mut Criterion) {
     let shared_big = ModelSpec::big([3, 12, 12], 10).build(&mut rng);
     for batch_size in [32usize, 64, 128] {
         let batch = Tensor::randn(&[batch_size, 3, 12, 12], &mut rng);
-        let mut sequential = CollaborativeSystem::with_policy(
+        let mut sequential = threshold_engine(
             shared_net.clone(),
             shared_big.clone(),
-            0.5,
-            SystemModel::typical(),
             ChunkPolicy::sequential(),
-        )
-        .expect("0.5 is a valid threshold");
+        );
         group.bench_function(format!("routing_{batch_size}_images_sequential"), |b| {
-            b.iter(|| sequential.classify(black_box(&batch)))
+            b.iter(|| sequential.classify_batch(black_box(&batch)))
         });
-        let mut parallel = CollaborativeSystem::with_policy(
+        let mut parallel = threshold_engine(
             shared_net.clone(),
             shared_big.clone(),
-            0.5,
-            SystemModel::typical(),
             ChunkPolicy {
                 min_shard: 8,
                 max_shards: rayon::current_num_threads(),
             },
-        )
-        .expect("0.5 is a valid threshold");
+        );
         group.bench_function(format!("routing_{batch_size}_images_rayon"), |b| {
-            b.iter(|| parallel.classify(black_box(&batch)))
+            b.iter(|| parallel.classify_batch(black_box(&batch)))
         });
     }
     group.finish();

@@ -7,16 +7,10 @@
 //! * `matmul_shapes` — naive vs. dispatched-SIMD blocked matmuls, plus a
 //!   forced-scalar entry per shape so the explicit-SIMD speedup (and the
 //!   scalar fallback's parity with the PR 3 autovectorized kernel) is
-//!   directly visible. On `fast-kernels` builds running on FMA hardware a
-//!   `forced_muladd` entry per shape additionally pins the unfused kernel,
-//!   so the FMA-vs-mul-then-add microkernel speedup is measured
-//!   like-for-like in one process (the `simd_` entry is the fused tier
-//!   there — fused dispatch is the default). The active ISA and the build's
-//!   numeric contract are printed once at startup.
+//!   directly visible. The active ISA and the numeric contract are printed
+//!   once at startup.
 //! * `elementwise` — ReLU forward / bias broadcast / axpy on the dispatched
-//!   SIMD backend vs. forced scalar vs. the seed closure idioms; under
-//!   `fast-kernels` + FMA an `axpy_forced_muladd` entry pins the unfused
-//!   axpy the same way.
+//!   SIMD backend vs. forced scalar vs. the seed closure idioms.
 //! * `conv_forward` — the seed 7-deep loop vs. the im2col + GEMM `Conv2d`
 //!   forward (bar: >= 5x on a 3x3 convolution), plus the depthwise pair.
 //! * `conv_backward` — seed loop vs. GEMM-lowered backward.
@@ -41,18 +35,12 @@ fn randn_vec(rng: &mut SeededRng, len: usize) -> Vec<f32> {
 }
 
 fn bench_matmul_shapes(c: &mut Criterion) {
-    // Perf numbers are only meaningful relative to a dispatch path and a
-    // numeric tier; print both once so recorded runs
-    // (reports/kernel_speedup.txt) are attributable.
+    // Perf numbers are only meaningful relative to a dispatch path; print
+    // it once so recorded runs are attributable.
     eprintln!(
-        "kernel_microbench: active ISA = {}, contract = {}{}",
+        "kernel_microbench: active ISA = {}, contract = {}",
         kernels::active_isa(),
         kernels::numeric_contract(),
-        if kernels::fused_active() {
-            " (+fma)"
-        } else {
-            ""
-        }
     );
     let mut group = c.benchmark_group("matmul_shapes");
     group.sample_size(if quick() { 5 } else { 20 });
@@ -79,20 +67,6 @@ fn bench_matmul_shapes(c: &mut Criterion) {
             bch.iter(|| black_box(&a).matmul(black_box(&b)))
         });
         kernels::force_isa(prev);
-        // fast-kernels on FMA hardware: pin the unfused (mul-then-add)
-        // kernel so the fused-vs-unfused microkernel speedup is visible in
-        // one run. (`simd_` above is the fused tier there, as in serving.)
-        // Gated on fused_active(), not fma_supported(): under a forced
-        // sub-AVX2 dispatch (e.g. APPEALNET_FORCE_SCALAR) both entries
-        // would measure the same unfused kernel and the comparison would
-        // be meaningless.
-        if kernels::fused_active() {
-            let prev = kernels::force_fused(Some(false));
-            group.bench_function(format!("forced_muladd_{s}x{s}x{s}"), |bch| {
-                bch.iter(|| black_box(&a).matmul(black_box(&b)))
-            });
-            kernels::force_fused(prev);
-        }
     }
     group.finish();
 }
@@ -168,20 +142,6 @@ fn bench_elementwise(c: &mut Criterion) {
             y
         })
     });
-    // fast-kernels on FMA hardware: the unfused axpy for a fused-vs-unfused
-    // comparison (axpy_simd above is the fused tier there; same
-    // fused_active() gate as the GEMM entries).
-    if kernels::fused_active() {
-        let prev = kernels::force_fused(Some(false));
-        group.bench_function("axpy_forced_muladd", |bch| {
-            bch.iter(|| {
-                let mut y = black_box(&src).clone();
-                elementwise::axpy(0.5, black_box(&other), &mut y);
-                y
-            })
-        });
-        kernels::force_fused(prev);
-    }
     group.finish();
 }
 

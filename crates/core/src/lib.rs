@@ -46,8 +46,7 @@
 //! * [`training`] — Algorithm 1 (joint training) and plain classifier training.
 //! * [`scores`] — AppealNet's `q` score and the confidence baselines
 //!   (MSP, score margin, entropy).
-//! * [`system`] — precomputed routing artifacts and the legacy
-//!   fixed-threshold wrapper over the engine.
+//! * [`system`] — precomputed routing artifacts.
 //! * [`metrics`] — SR / AR / overall accuracy / AccI / overall cost (Eq. 11–15).
 //! * [`tuning`] — threshold selection for target skipping rates or accuracy.
 //! * [`sweep`] — skipping-rate sweeps across routing methods.
@@ -118,7 +117,7 @@ pub use serve::{
     InferenceResponse, Route, RoutingPolicy, Scorer, ThresholdPolicy,
 };
 pub use server::{MicroBatcher, Server, ServerConfig, ServerHandle, ServerStats, ShedConfig};
-pub use system::{CollaborativeSystem, EvaluationArtifacts};
+pub use system::EvaluationArtifacts;
 pub use training::{TrainerConfig, TrainingReport};
 pub use two_head::{TwoHeadNet, TwoHeadOutput};
 
@@ -140,7 +139,7 @@ pub mod prelude {
         Ticket,
     };
     pub use crate::sweep::{MethodSeries, SweepResult};
-    pub use crate::system::{CollaborativeSystem, EvaluationArtifacts};
+    pub use crate::system::EvaluationArtifacts;
     pub use crate::training::{TrainerConfig, TrainingReport};
     pub use crate::tuning::ThresholdChoice;
     pub use crate::two_head::{TwoHeadNet, TwoHeadOutput};

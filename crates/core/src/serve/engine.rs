@@ -57,12 +57,8 @@ pub struct InferenceResponse {
 ///
 /// The `Debug` representation additionally reports the kernel ISA the
 /// process dispatched to (`appeal_tensor::kernels::active_isa`) and the
-/// build's numeric contract (`appeal_tensor::kernels::numeric_contract`,
-/// with a `+fma` marker when the fused tier is actually dispatched), so
-/// logged throughput numbers are always attributable to a compute backend
-/// *and* a numeric tier — a `fast-kernels` build is faster but only
-/// deterministic per build, and operators reading serving logs need to know
-/// which guarantee the numbers came from.
+/// numeric contract (`appeal_tensor::kernels::numeric_contract`), so logged
+/// throughput numbers are always attributable to a compute backend.
 #[derive(Clone, Copy, PartialEq, Serialize)]
 pub struct EngineStats {
     /// Requests answered.
@@ -89,20 +85,11 @@ impl std::fmt::Debug for EngineStats {
             .field("total_cost", &self.total_cost)
             .field("busy_seconds", &self.busy_seconds)
             .field("kernel_isa", &appeal_tensor::kernels::active_isa().name())
-            .field("numeric_contract", &numeric_contract_label())
+            .field(
+                "numeric_contract",
+                &appeal_tensor::kernels::numeric_contract().name(),
+            )
             .finish()
-    }
-}
-
-/// The build's numeric contract for debug output, with a `+fma` suffix when
-/// the fused kernel tier is live on this host (contract alone says what the
-/// build *promises*; the suffix says what the dispatched kernels *do*).
-fn numeric_contract_label() -> String {
-    let contract = appeal_tensor::kernels::numeric_contract();
-    if appeal_tensor::kernels::fused_active() {
-        format!("{contract}+fma")
-    } else {
-        contract.name().to_string()
     }
 }
 
@@ -373,7 +360,7 @@ impl std::fmt::Debug for Engine {
             self.pending_ids.len(),
             self.stats.requests,
             appeal_tensor::kernels::active_isa(),
-            numeric_contract_label()
+            appeal_tensor::kernels::numeric_contract()
         )
     }
 }
@@ -671,7 +658,7 @@ mod tests {
     #[test]
     fn stats_debug_reports_kernel_isa_and_numeric_contract() {
         // Perf numbers logged from EngineStats must always be attributable
-        // to a kernel dispatch path and a numeric tier.
+        // to a kernel dispatch path.
         let engine = engine(1);
         let debug = format!("{:?}", engine.stats());
         assert!(
@@ -685,11 +672,6 @@ mod tests {
             debug.contains("numeric_contract") && debug.contains(contract),
             "EngineStats debug output must name the numeric contract: {debug}"
         );
-        if appeal_tensor::kernels::fused_active() {
-            assert!(debug.contains("+fma"), "fused tier must be marked: {debug}");
-        } else {
-            assert!(!debug.contains("+fma"), "no fused marker expected: {debug}");
-        }
         let engine_debug = format!("{engine:?}");
         assert!(engine_debug.contains("kernel_isa"), "{engine_debug}");
         assert!(

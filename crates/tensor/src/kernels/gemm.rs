@@ -25,23 +25,8 @@
 //! contracts `a * b + c` into a fused multiply-add on its own, the blocked
 //! kernel, the small-problem fallback and the rayon row-parallel path are all
 //! **bit-identical** to the naive `i-k-j` triple loop (see
-//! [`super::naive::matmul_naive`]) on the default build — which is what
-//! keeps serving results byte-stable across kernel choices and thread
-//! counts.
-//!
-//! Under the opt-in `fast-kernels` feature the *full* `MR x NR` (and
-//! paired `2*MR x NR`) tiles dispatch onto fused-multiply-add microkernels
-//! when the host supports FMA ([`super::simd::fused_for_isa`], resolved
-//! once per `gemm_into` call and shared by all row bands of the parallel
-//! path, so one GEMM never mixes tiers mid-stream). The
-//! accumulation order is unchanged — only the per-step rounding count drops
-//! from two to one — so results remain bit-identical across thread counts
-//! and runs of one build, and tolerance-bounded against the seed (the
-//! `deterministic-per-build` contract; see `docs/DETERMINISM.md`). Edge
-//! tiles and the small-problem `i-k-j` path keep separate mul+add in both
-//! tiers: they cover O(edge) of the work, and keeping them unfused means a
-//! problem small enough to skip blocking reproduces the seed exactly even
-//! on a `fast-kernels` build.
+//! [`super::naive::matmul_naive`]), which is what keeps serving results
+//! byte-stable across kernel choices and thread counts.
 
 use super::scratch::PackScratch;
 use super::simd::{self, Isa};
@@ -131,20 +116,19 @@ pub fn gemm_into(
         gemm_ikj(m, k, n, a, b, init, out);
         return;
     }
-    // Resolve the SIMD backend and numeric tier once per gemm_into call, so
-    // every tile of this GEMM — across all row bands of the parallel path —
-    // uses the same kernel even if an override flips mid-call.
+    // Resolve the SIMD backend once per gemm_into call, so every tile of
+    // this GEMM — across all row bands of the parallel path — uses the same
+    // kernel even if an override flips mid-call.
     let isa = simd::active_isa();
-    let fused = simd::fused_for_isa(isa);
     let threads = rayon::current_num_threads();
     // Stay serial inside an outer parallel region (sharded batch workers):
     // the batch is already parallel at that level, so splitting each
     // per-sample GEMM again would only add queueing overhead on the shared
     // worker pool.
     if threads > 1 && macs >= PAR_MIN_MACS && m >= 2 * MR && !super::scratch::in_worker_region() {
-        gemm_parallel(isa, fused, m, k, n, a, b, init, out, threads, packs);
+        gemm_parallel(isa, m, k, n, a, b, init, out, threads, packs);
     } else {
-        gemm_blocked(isa, fused, m, k, n, a, b, init, out, packs);
+        gemm_blocked(isa, m, k, n, a, b, init, out, packs);
     }
 }
 
@@ -207,7 +191,6 @@ fn gemm_ikj(
 #[allow(clippy::too_many_arguments)]
 fn gemm_parallel(
     isa: Isa,
-    fused: bool,
     m: usize,
     k: usize,
     n: usize,
@@ -246,9 +229,7 @@ fn gemm_parallel(
             s.spawn(move |_| {
                 let (band_a, band_init) = band_slice(band_row0, rows);
                 super::scratch::with_band_packs(band, |packs| {
-                    gemm_blocked(
-                        isa, fused, rows, k, n, band_a, b, band_init, band_out, packs,
-                    );
+                    gemm_blocked(isa, rows, k, n, band_a, b, band_init, band_out, packs);
                 });
             });
         }
@@ -256,9 +237,7 @@ fn gemm_parallel(
         // with the caller's scratch while the spawned bands proceed.
         if let Some((band_row0, rows, band_out)) = first {
             let (band_a, band_init) = band_slice(band_row0, rows);
-            gemm_blocked(
-                isa, fused, rows, k, n, band_a, b, band_init, band_out, packs,
-            );
+            gemm_blocked(isa, rows, k, n, band_a, b, band_init, band_out, packs);
         }
     });
 }
@@ -268,7 +247,6 @@ fn gemm_parallel(
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     isa: Isa,
-    fused: bool,
     m: usize,
     k: usize,
     n: usize,
@@ -278,8 +256,8 @@ fn gemm_blocked(
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
-    // The backend and numeric tier come resolved from `gemm_into`; the
-    // microkernel dispatches branch-predictably per tile.
+    // The backend comes resolved from `gemm_into`; the microkernel
+    // dispatches branch-predictably per tile.
     let pair = simd::has_paired_microkernel(isa);
     let a_panel_len = MC.div_ceil(MR) * MR * KC;
     let b_panel_len = NC.div_ceil(NR) * NR * KC;
@@ -318,7 +296,7 @@ fn gemm_blocked(
                             // widened 2*MR x NR AVX-512 kernel.
                             let a_hi = &a_pack[(it + 1) * kcb * MR..(it + 2) * kcb * MR];
                             micro_kernel_full_pair(
-                                fused, kcb, a_tile, a_hi, b_tile, init, first_slab, i0, j0, n, out,
+                                kcb, a_tile, a_hi, b_tile, init, first_slab, i0, j0, n, out,
                             );
                             it += 2;
                             continue;
@@ -327,7 +305,7 @@ fn gemm_blocked(
                             // Full tile: every bound is a constant, so the
                             // accumulator tile stays in SIMD registers.
                             micro_kernel_full(
-                                isa, fused, kcb, a_tile, b_tile, init, first_slab, i0, j0, n, out,
+                                isa, kcb, a_tile, b_tile, init, first_slab, i0, j0, n, out,
                             );
                         } else {
                             micro_kernel_edge(
@@ -353,7 +331,6 @@ fn gemm_blocked(
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel_full(
     isa: Isa,
-    fused: bool,
     kc: usize,
     a_tile: &[f32],
     b_tile: &[f32],
@@ -366,7 +343,7 @@ fn micro_kernel_full(
 ) {
     let mut acc = [[0.0f32; NR]; MR];
     seed_tile_rows(&mut acc, init, first_slab, i0, j0, ldc, out);
-    simd::microkernel_4x16(isa, fused, kc, a_tile, b_tile, &mut acc);
+    simd::microkernel_4x16(isa, kc, a_tile, b_tile, &mut acc);
     store_tile_rows(&acc, i0, j0, ldc, out);
 }
 
@@ -377,7 +354,6 @@ fn micro_kernel_full(
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel_full_pair(
-    fused: bool,
     kc: usize,
     a_lo: &[f32],
     a_hi: &[f32],
@@ -391,7 +367,7 @@ fn micro_kernel_full_pair(
 ) {
     let mut acc = [[0.0f32; NR]; 2 * MR];
     seed_tile_rows(&mut acc, init, first_slab, i0, j0, ldc, out);
-    simd::microkernel_8x16(fused, kc, a_lo, a_hi, b_tile, &mut acc);
+    simd::microkernel_8x16(kc, a_lo, a_hi, b_tile, &mut acc);
     store_tile_rows(&acc, i0, j0, ldc, out);
 }
 
@@ -526,7 +502,7 @@ fn pack_b(b: &[f32], ldb: usize, pc: usize, kcb: usize, jc: usize, ncb: usize, p
 
 /// `out = A x B` followed by an in-place per-column bias pass —
 /// bit-identical to `matmul` + `add_row_broadcast` (the bias joins *after*
-/// each element's full `K` accumulation, exactly like the unfused pair)
+/// each element's full `K` accumulation, exactly like the two-call pair)
 /// while allocating no intermediate tensor.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_bias_cols(

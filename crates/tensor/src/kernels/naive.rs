@@ -5,13 +5,9 @@
 //! exported) for two reasons:
 //!
 //! 1. **Equivalence testing.** The optimized kernels promise results that
-//!    follow the build's numeric contract — bit-identical on the default
-//!    build, tolerance-bounded under `fast-kernels` (see
-//!    [`super::numeric_contract`] and [`super::tolerance`]); the property
-//!    suites in `kernels::tests` and `layers::conv` compare against these
-//!    references over many seeded shapes, and additionally re-run them on
-//!    |absolute| inputs to derive the `Σ|terms|` magnitude scales the
-//!    tolerance bound needs.
+//!    are bit-identical to these loops (see [`super::numeric_contract`]);
+//!    the property suites in `kernels::tests` and `layers::conv` compare
+//!    against these references over many seeded shapes.
 //! 2. **Benchmark baselines.** `crates/bench/benches/kernel_microbench.rs`
 //!    measures the optimized kernels against these loops so the speedup
 //!    claim stays verifiable on any machine.

@@ -51,10 +51,7 @@
 //!
 //! Growth and reuse events are counted in process-wide atomics (see
 //! [`stats`]) so tests can assert that a steady-state serving loop performs
-//! zero scratch allocations (`tests/hot_path_allocations.rs`). The
-//! `fast-kernels` feature does not change any of this: the fused
-//! microkernels consume the same packed panels with the same shapes, so
-//! scratch behavior is tier-independent.
+//! zero scratch allocations (`tests/hot_path_allocations.rs`).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -5,11 +5,9 @@
 //! the weight gradient is `grad_out x im2col(x)^T`, and the input gradient is
 //! `weight^T x grad_out` scattered back through `col2im`. The im2col column
 //! order matches the original 7-deep loop's `ic -> ky -> kx` tap order, so
-//! forward outputs and weight/bias gradients follow the build's numeric
-//! contract against the naive kernels — bit-identical on the default build,
-//! tolerance-bounded under `fast-kernels` (pinned by the equivalence tests
-//! below against [`crate::kernels::naive`] through
-//! [`crate::kernels::tolerance`]); the input gradient is numerically
+//! forward outputs and weight/bias gradients are bit-identical to the naive
+//! kernels (pinned by the equivalence tests below against
+//! [`crate::kernels::naive`]); the input gradient is numerically
 //! equivalent (GEMM sums output channels before scattering) and covered by
 //! gradcheck.
 //!
@@ -623,26 +621,12 @@ mod equivalence {
     //! reference kernels, over seeded random shapes / stride / padding
     //! combinations (the proptest-as-loops idiom used across this crate).
     //!
-    //! The forward and weight-gradient checks follow the build's numeric
-    //! contract (see [`crate::kernels::tolerance`]): bit equality on the
-    //! default build, the accumulation bound under `fast-kernels`. The
-    //! magnitude scales come from re-running the naive reference kernels on
-    //! the |absolute values| of the inputs — `Σ|terms|` per output element,
-    //! exactly the quantity the bound needs. Bias gradients are plain sum
-    //! loops with no multiply to fuse, so they stay bit-identical under
-    //! both contracts.
+    //! The forward, weight-gradient and bias-gradient checks assert bit
+    //! equality (see [`crate::kernels::numeric_contract`]).
 
     use super::*;
     use crate::kernels::naive;
-    use crate::kernels::tolerance::{self, assert_bits_eq};
-
-    fn abs_vec(xs: &[f32]) -> Vec<f32> {
-        xs.iter().map(|&x| x.abs()).collect()
-    }
-
-    fn as_f64(xs: &[f32]) -> Vec<f64> {
-        xs.iter().map(|&x| f64::from(x)).collect()
-    }
+    use crate::kernels::tolerance::assert_bits_eq;
 
     fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
@@ -669,8 +653,7 @@ mod equivalence {
         let mut rng = SeededRng::new(0xC0DE);
         for &(k, stride, padding) in &GEOMETRIES {
             // The (1, 8, 8, 16) shape pushes the lowered GEMM past the
-            // small-problem threshold onto the blocked (and, under
-            // `fast-kernels`, fused) path.
+            // small-problem threshold onto the blocked path.
             for &(n, c, oc, hw) in &[
                 (1usize, 1usize, 1usize, 6usize),
                 (2, 3, 5, 8),
@@ -695,28 +678,9 @@ mod equivalence {
                     stride,
                     padding,
                 );
-                // Σ|terms| per output element: the naive kernel on |x|, |w|
-                // (computed lazily — only the fast-kernels tolerance branch
-                // needs it).
-                tolerance::assert_matches_reference(
+                assert_bits_eq(
                     y.data(),
                     &expect,
-                    || {
-                        as_f64(&naive::conv2d_forward_naive(
-                            &abs_vec(x.data()),
-                            n,
-                            c,
-                            hw,
-                            hw,
-                            &abs_vec(conv.weight.value.data()),
-                            &abs_vec(conv.bias.value.data()),
-                            oc,
-                            k,
-                            stride,
-                            padding,
-                        ))
-                    },
-                    c * k * k + 1,
                     &format!("conv fwd k={k} s={stride} p={padding} n={n} c={c} oc={oc}"),
                 );
             }
@@ -751,31 +715,7 @@ mod equivalence {
                 padding,
             );
             let tag = format!("conv bwd k={k} s={stride} p={padding}");
-            let (oh, ow) = (y.shape()[2], y.shape()[3]);
-            // Σ|terms| for the weight gradient: the naive backward on |x|,
-            // |w|, |go| (lazy; the |w| only feeds gi_abs, which we discard).
-            tolerance::assert_matches_reference(
-                conv.weight.grad.data(),
-                &gw_ref,
-                || {
-                    let (_, gw_abs, _) = naive::conv2d_backward_naive(
-                        &abs_vec(x.data()),
-                        n,
-                        c,
-                        hw,
-                        hw,
-                        &abs_vec(conv.weight.value.data()),
-                        &abs_vec(go.data()),
-                        oc,
-                        k,
-                        stride,
-                        padding,
-                    );
-                    as_f64(&gw_abs)
-                },
-                n * oh * ow + 1,
-                &format!("{tag} gw"),
-            );
+            assert_bits_eq(conv.weight.grad.data(), &gw_ref, &format!("{tag} gw"));
             assert_bits_eq(conv.bias.grad.data(), &gb_ref, &format!("{tag} gb"));
             assert!(
                 max_abs_diff(gi.data(), &gi_ref) < 1e-4,
@@ -805,24 +745,9 @@ mod equivalence {
                     stride,
                     padding,
                 );
-                tolerance::assert_matches_reference(
+                assert_bits_eq(
                     y.data(),
                     &expect,
-                    || {
-                        as_f64(&naive::depthwise_forward_naive(
-                            &abs_vec(x.data()),
-                            n,
-                            c,
-                            hw,
-                            hw,
-                            &abs_vec(dw.weight.value.data()),
-                            &abs_vec(dw.bias.value.data()),
-                            k,
-                            stride,
-                            padding,
-                        ))
-                    },
-                    k * k + 1,
                     &format!("dw fwd k={k} s={stride} p={padding} n={n} c={c}"),
                 );
             }
@@ -852,28 +777,7 @@ mod equivalence {
                 padding,
             );
             let tag = format!("dw bwd k={k} s={stride} p={padding}");
-            let (oh, ow) = (y.shape()[2], y.shape()[3]);
-            tolerance::assert_matches_reference(
-                dw.weight.grad.data(),
-                &gw_ref,
-                || {
-                    let (_, gw_abs, _) = naive::depthwise_backward_naive(
-                        &abs_vec(x.data()),
-                        n,
-                        c,
-                        hw,
-                        hw,
-                        &abs_vec(dw.weight.value.data()),
-                        &abs_vec(go.data()),
-                        k,
-                        stride,
-                        padding,
-                    );
-                    as_f64(&gw_abs)
-                },
-                n * oh * ow + 1,
-                &format!("{tag} gw"),
-            );
+            assert_bits_eq(dw.weight.grad.data(), &gw_ref, &format!("{tag} gw"));
             assert_bits_eq(dw.bias.grad.data(), &gb_ref, &format!("{tag} gb"));
             // col2im orders the scatter by tap rather than by output pixel,
             // so the input gradient is compared numerically.

@@ -14,7 +14,6 @@ use appealnet_core::experiments::{ExperimentContext, PreparedExperiment};
 use appealnet_core::loss::CloudMode;
 use appealnet_core::parallel::ChunkPolicy;
 use appealnet_core::serve::{Engine, InferenceRequest, InferenceResponse, ThresholdPolicy};
-use appealnet_core::system::{CollaborativeSystem, RoutingOutcome};
 use appealnet_core::two_head::TwoHeadNet;
 
 #[test]
@@ -78,7 +77,7 @@ fn sharded_evaluation_is_bit_identical_to_sequential() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine / CollaborativeSystem equivalence
+// Engine equivalence across chunk policies
 // ---------------------------------------------------------------------------
 
 /// Builds an identically seeded (two-head, big) model pair.
@@ -89,30 +88,10 @@ fn seeded_models() -> (TwoHeadNet, ClassifierParts) {
     (TwoHeadNet::from_parts(little, &mut rng), big)
 }
 
-fn assert_equivalent(outcomes: &[RoutingOutcome], responses: &[InferenceResponse], tag: &str) {
-    assert_eq!(outcomes.len(), responses.len(), "{tag}: length mismatch");
-    for (i, (o, r)) in outcomes.iter().zip(responses.iter()).enumerate() {
-        assert_eq!(o.label, r.label, "{tag}: label diverges at sample {i}");
-        assert_eq!(
-            o.offloaded,
-            r.route.is_cloud(),
-            "{tag}: decision diverges at sample {i}"
-        );
-        assert_eq!(
-            o.score.to_bits(),
-            r.score.to_bits(),
-            "{tag}: score is not bit-identical at sample {i}"
-        );
-        assert_eq!(o.cost, r.cost, "{tag}: cost diverges at sample {i}");
-    }
-}
-
-#[test]
-fn engine_with_threshold_policy_matches_collaborative_system() {
-    // The legacy fixed-threshold wrapper and a directly built engine must
-    // produce byte-identical labels, routing decisions, scores and costs
-    // across batch sizes and chunk policies (i.e. thread counts).
-    let chunk_policies = [
+/// The batch-sharding policies (i.e. thread layouts) every engine
+/// equivalence test runs under.
+fn chunk_policies() -> [ChunkPolicy; 3] {
+    [
         ChunkPolicy::sequential(),
         ChunkPolicy {
             min_shard: 8,
@@ -122,35 +101,55 @@ fn engine_with_threshold_policy_matches_collaborative_system() {
             min_shard: 4,
             max_shards: 8,
         },
-    ];
+    ]
+}
+
+/// A fixed-threshold (Eq. 1, δ = 0.5) engine over the seeded models.
+fn threshold_engine(chunk: ChunkPolicy) -> Engine {
+    let (net, big) = seeded_models();
+    Engine::builder()
+        .appealnet(net)
+        .big(big)
+        .policy(ThresholdPolicy::new(0.5).unwrap())
+        .hardware(SystemModel::typical())
+        .chunk_policy(chunk)
+        .build()
+        .unwrap()
+}
+
+fn assert_equivalent(expected: &[InferenceResponse], responses: &[InferenceResponse], tag: &str) {
+    assert_eq!(expected.len(), responses.len(), "{tag}: length mismatch");
+    for (i, (e, r)) in expected.iter().zip(responses.iter()).enumerate() {
+        assert_eq!(e.label, r.label, "{tag}: label diverges at sample {i}");
+        assert_eq!(e.route, r.route, "{tag}: decision diverges at sample {i}");
+        assert_eq!(
+            e.score.to_bits(),
+            r.score.to_bits(),
+            "{tag}: score is not bit-identical at sample {i}"
+        );
+        assert_eq!(e.cost, r.cost, "{tag}: cost diverges at sample {i}");
+    }
+}
+
+#[test]
+fn threshold_engine_matches_sequential_engine_across_chunk_policies() {
+    // A fixed-threshold engine must produce byte-identical labels, routing
+    // decisions, scores and costs across batch sizes and chunk policies
+    // (i.e. thread counts).
     let mut rng = SeededRng::new(99);
     let batches: Vec<Tensor> = [5usize, 17, 48]
         .iter()
         .map(|&n| Tensor::randn(&[n, 3, 12, 12], &mut rng))
         .collect();
-    // Reference: the legacy wrapper on the sequential path.
-    let (net, big) = seeded_models();
-    let mut reference = CollaborativeSystem::with_policy(
-        net,
-        big,
-        0.5,
-        SystemModel::typical(),
-        ChunkPolicy::sequential(),
-    )
-    .unwrap();
-    let reference_outcomes: Vec<Vec<RoutingOutcome>> =
-        batches.iter().map(|b| reference.classify(b)).collect();
-    for chunk in chunk_policies {
-        let (net, big) = seeded_models();
-        let mut engine = Engine::builder()
-            .appealnet(net)
-            .big(big)
-            .policy(ThresholdPolicy::new(0.5).unwrap())
-            .hardware(SystemModel::typical())
-            .chunk_policy(chunk)
-            .build()
-            .unwrap();
-        for (batch, expected) in batches.iter().zip(reference_outcomes.iter()) {
+    // Reference: the engine on the sequential path.
+    let mut reference = threshold_engine(ChunkPolicy::sequential());
+    let reference_responses: Vec<Vec<InferenceResponse>> = batches
+        .iter()
+        .map(|b| reference.classify_batch(b).unwrap())
+        .collect();
+    for chunk in chunk_policies() {
+        let mut engine = threshold_engine(chunk);
+        for (batch, expected) in batches.iter().zip(reference_responses.iter()) {
             let responses = engine.classify_batch(batch).unwrap();
             assert_equivalent(
                 expected,
@@ -208,38 +207,44 @@ fn micro_batched_submission_matches_whole_batch_classification() {
 fn batch_responses_do_not_depend_on_a_poisoned_neighbour() {
     // Per-sample purity: a response's bits must not depend on what shares its
     // batch. Frame 5 is filled with a non-finite or huge value; every other
-    // frame must answer exactly as it does alone at batch 1.
+    // frame must answer exactly as it does alone at batch 1. Under the
+    // sharded chunk policies the poisoned frame shares a shard with some
+    // neighbours and not with others.
     const N: usize = 16;
     const POISONED: usize = 5;
     let mut rng = SeededRng::new(31);
     let clean = Tensor::randn(&[N, 3, 12, 12], &mut rng);
-    let (net, big) = seeded_models();
-    let mut engine = Engine::builder().appealnet(net).big(big).build().unwrap();
-    let alone: Vec<InferenceResponse> = (0..N)
-        .map(|i| {
-            engine
-                .classify_batch(&clean.select_rows(&[i]))
-                .unwrap()
-                .remove(0)
-        })
-        .collect();
     let frame = clean.len() / N;
-    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30] {
-        let mut images = clean.clone();
-        images.data_mut()[POISONED * frame..(POISONED + 1) * frame].fill(poison);
-        let batched = engine.classify_batch(&images).unwrap();
-        assert_eq!(batched.len(), N);
-        for (i, (a, b)) in alone.iter().zip(batched.iter()).enumerate() {
-            if i == POISONED {
-                continue;
+    for chunk in chunk_policies() {
+        let (net, big) = seeded_models();
+        let mut engine = Engine::builder()
+            .appealnet(net)
+            .big(big)
+            .chunk_policy(chunk)
+            .build()
+            .unwrap();
+        let alone: Vec<InferenceResponse> = (0..N)
+            .map(|i| {
+                engine
+                    .classify_batch(&clean.select_rows(&[i]))
+                    .unwrap()
+                    .remove(0)
+            })
+            .collect();
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30] {
+            let mut images = clean.clone();
+            images.data_mut()[POISONED * frame..(POISONED + 1) * frame].fill(poison);
+            let batched = engine.classify_batch(&images).unwrap();
+            assert_eq!(batched.len(), N);
+            for (i, (a, b)) in alone.iter().zip(batched.iter()).enumerate() {
+                if i == POISONED {
+                    continue;
+                }
+                let tag = format!("chunk {chunk:?}, poison {poison}, sample {i}");
+                assert_eq!(a.label, b.label, "{tag}: label");
+                assert_eq!(a.route, b.route, "{tag}: route");
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "{tag}: score");
             }
-            assert_eq!(a.label, b.label, "poison {poison}, sample {i}: label");
-            assert_eq!(a.route, b.route, "poison {poison}, sample {i}: route");
-            assert_eq!(
-                a.score.to_bits(),
-                b.score.to_bits(),
-                "poison {poison}, sample {i}: score"
-            );
         }
     }
 }

@@ -16,10 +16,8 @@
 //! APPEALNET_BLESS=1 cargo test --release --test pr8_baseline
 //! ```
 //!
-//! The snapshot is captured under the default `bit-identical-to-seed`
-//! kernel contract; the `fast-kernels` FMA tier produces different (equally
-//! deterministic) floats, so this suite only runs on the default tier.
-#![cfg(not(feature = "fast-kernels"))]
+//! The snapshot is captured under the `bit-identical-to-seed` kernel
+//! contract.
 
 use appeal_hw::{DeviceSpec, FaultEvent, FaultPlan, StochasticLink};
 use appeal_models::{ModelFamily, ModelSpec};
