@@ -95,8 +95,9 @@ fn scaled(base: usize, width: f32) -> usize {
 /// The conv/dense layers these backbones are assembled from run on the
 /// GEMM-lowered kernel layer (`appeal_tensor::kernels`): pointwise (1x1)
 /// convolutions — the bulk of the MobileNet/ShuffleNet-style blocks — map
-/// straight onto the blocked GEMM with no im2col, and every layer carries
-/// its own scratch arena so repeated inference allocates nothing.
+/// straight onto the blocked GEMM with no im2col at batch 1, and the kernels
+/// draw their buffers from per-thread scratch arenas (layers own none), so
+/// repeated inference allocates nothing.
 ///
 /// # Panics
 ///

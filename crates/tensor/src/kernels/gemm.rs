@@ -15,6 +15,18 @@
 //! the scalar microkernel remains the `Isa::Scalar` fallback and the
 //! reference all backends must match bit-for-bit.
 //!
+//! Every tile runs on that microkernel, partial ones included (BLIS-style,
+//! Van Zee & van de Geijn, TOMS 2015): the packed panels are zero past `m`
+//! and `n`, so a tile at the bottom or right edge computes a full
+//! `MR x NR` block in a stack staging tile, of which only the valid rows
+//! and columns are seeded from and stored back to the output. This matters
+//! for the convolutions of small feature maps, whose `N` (3x3 or 6x6 maps,
+//! `N = 9` or `36`) is not a multiple of `NR`.
+//!
+//! `gemm_into_blocks` stores the product column-blocked, so a convolution
+//! that folds several samples into one GEMM (`weight x [ckk, g*s]`) writes
+//! its result straight into NCHW.
+//!
 //! # Determinism contract
 //!
 //! Every path in this module accumulates each output element's products in
@@ -98,9 +110,43 @@ pub fn gemm_into(
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
+    gemm_into_blocks(m, k, n, n, a, b, init, out, packs);
+}
+
+/// [`gemm_into`] with the result stored column-blocked: the `n` columns
+/// split into `n / seg` blocks of `seg`, and block `t` is an `m x seg`
+/// row-major matrix at `out[t * m * seg..]`. `seg == n` is the plain
+/// row-major [`gemm_into`]. A convolution over `g` samples passes its
+/// `[ckk, g * s]` im2col panel as `b` and `seg = s`, so the output lands in
+/// NCHW (`[g, m, s]`) with no transpose.
+///
+/// Element `(i, j)` is computed exactly as by [`gemm_into`]; only its
+/// address differs. A column-blocked product (`seg < n`) always runs
+/// serially: its row bands are not contiguous in `out`.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its `m`/`k`/`n` dimensions, or
+/// if `seg` does not divide `n`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_into_blocks(
+    m: usize,
+    k: usize,
+    n: usize,
+    seg: usize,
+    a: &[f32],
+    b: &[f32],
+    init: GemmInit<'_>,
+    out: &mut [f32],
+    packs: &mut PackScratch,
+) {
     assert_eq!(a.len(), m * k, "gemm: A must be m*k");
     assert_eq!(b.len(), k * n, "gemm: B must be k*n");
     assert_eq!(out.len(), m * n, "gemm: out must be m*n");
+    assert!(
+        n == 0 || (seg > 0 && n.is_multiple_of(seg)),
+        "gemm: column blocks must divide n"
+    );
     if let GemmInit::RowBias(bias) = init {
         assert_eq!(bias.len(), m, "gemm: row bias must have m entries");
     }
@@ -108,68 +154,78 @@ pub fn gemm_into(
         return;
     }
     if k == 0 {
-        init_only(m, n, init, out);
+        init_only(m, seg, init, out);
         return;
     }
     let macs = m * k * n;
     if macs <= SMALL_PROBLEM_MACS {
-        gemm_ikj(m, k, n, a, b, init, out);
+        gemm_ikj(m, k, n, seg, a, b, init, out);
         return;
     }
-    // Resolve the SIMD backend once per gemm_into call, so every tile of
-    // this GEMM — across all row bands of the parallel path — uses the same
-    // kernel even if an override flips mid-call.
+    // Resolve the SIMD backend once per call, so every tile of this GEMM —
+    // across all row bands of the parallel path — uses the same kernel even
+    // if an override flips mid-call.
     let isa = simd::active_isa();
     let threads = rayon::current_num_threads();
     // Stay serial inside an outer parallel region (sharded batch workers):
     // the batch is already parallel at that level, so splitting each
     // per-sample GEMM again would only add queueing overhead on the shared
     // worker pool.
-    if threads > 1 && macs >= PAR_MIN_MACS && m >= 2 * MR && !super::scratch::in_worker_region() {
+    if seg == n
+        && threads > 1
+        && macs >= PAR_MIN_MACS
+        && m >= 2 * MR
+        && !super::scratch::in_worker_region()
+    {
         gemm_parallel(isa, m, k, n, a, b, init, out, threads, packs);
     } else {
-        gemm_blocked(isa, m, k, n, a, b, init, out, packs);
+        gemm_blocked(isa, m, k, n, seg, a, b, init, out, packs);
     }
 }
 
 /// Degenerate `k == 0` case: the "product" contributes nothing, only the
 /// initialization is applied.
-fn init_only(_m: usize, n: usize, init: GemmInit<'_>, out: &mut [f32]) {
+fn init_only(m: usize, seg: usize, init: GemmInit<'_>, out: &mut [f32]) {
     match init {
         GemmInit::Zero => out.fill(0.0),
         GemmInit::Accumulate => {}
         GemmInit::RowBias(bias) => {
-            for (row, &bv) in out.chunks_exact_mut(n).zip(bias.iter()) {
-                row.fill(bv);
+            for block in out.chunks_exact_mut(m * seg) {
+                for (row, &bv) in block.chunks_exact_mut(seg).zip(bias.iter()) {
+                    row.fill(bv);
+                }
             }
         }
     }
 }
 
-/// Plain `i-k-j` loop: walks B rows and the output row contiguously. This is
-/// the seed kernel minus its `a == 0.0` sparsity branch (which pessimized
-/// dense data and is bit-equivalent to just accumulating for finite inputs).
+/// Plain `i-k-j` loop: walks B rows and the output row contiguously, one
+/// column block at a time. This is the seed kernel minus its `a == 0.0`
+/// sparsity branch (which pessimized dense data and is bit-equivalent to just
+/// accumulating for finite inputs).
+#[allow(clippy::too_many_arguments)]
 fn gemm_ikj(
     m: usize,
     k: usize,
     n: usize,
+    seg: usize,
     a: &[f32],
     b: &[f32],
     init: GemmInit<'_>,
     out: &mut [f32],
 ) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        match init {
-            GemmInit::Zero => out_row.fill(0.0),
-            GemmInit::Accumulate => {}
-            GemmInit::RowBias(bias) => out_row.fill(bias[i]),
-        }
-        for (p, &av) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * bv;
+    for (t, block) in out.chunks_exact_mut(m * seg).enumerate() {
+        for (i, out_row) in block.chunks_exact_mut(seg).enumerate() {
+            match init {
+                GemmInit::Zero => out_row.fill(0.0),
+                GemmInit::Accumulate => {}
+                GemmInit::RowBias(bias) => out_row.fill(bias[i]),
+            }
+            for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                let b_row = &b[p * n + t * seg..p * n + (t + 1) * seg];
+                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += av * bv;
+                }
             }
         }
     }
@@ -229,7 +285,7 @@ fn gemm_parallel(
             s.spawn(move |_| {
                 let (band_a, band_init) = band_slice(band_row0, rows);
                 super::scratch::with_band_packs(band, |packs| {
-                    gemm_blocked(isa, rows, k, n, band_a, b, band_init, band_out, packs);
+                    gemm_blocked(isa, rows, k, n, n, band_a, b, band_init, band_out, packs);
                 });
             });
         }
@@ -237,30 +293,30 @@ fn gemm_parallel(
         // with the caller's scratch while the spawned bands proceed.
         if let Some((band_row0, rows, band_out)) = first {
             let (band_a, band_init) = band_slice(band_row0, rows);
-            gemm_blocked(isa, rows, k, n, band_a, b, band_init, band_out, packs);
+            gemm_blocked(isa, rows, k, n, n, band_a, b, band_init, band_out, packs);
         }
     });
 }
 
 /// Serial blocked kernel: `NC`-column macro-blocks, `KC`-deep packed slabs,
-/// `MC`-row packed A panels, `MR x NR` register microkernel.
+/// `MC`-row packed A panels, `MR x NR` register microkernel. The output is
+/// column-blocked by `seg` (see [`gemm_into_blocks`]).
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     isa: Isa,
     m: usize,
     k: usize,
     n: usize,
+    seg: usize,
     a: &[f32],
     b: &[f32],
     init: GemmInit<'_>,
     out: &mut [f32],
     packs: &mut PackScratch,
 ) {
-    // The backend comes resolved from `gemm_into`; the microkernel
+    // The backend comes resolved from `gemm_into_blocks`; the microkernel
     // dispatches branch-predictably per tile.
     let pair = simd::has_paired_microkernel(isa);
-    let a_panel_len = MC.div_ceil(MR) * MR * KC;
-    let b_panel_len = NC.div_ceil(NR) * NR * KC;
     let mut jc = 0;
     while jc < n {
         let ncb = NC.min(n - jc);
@@ -269,50 +325,44 @@ fn gemm_blocked(
         while pc < k {
             let kcb = KC.min(k - pc);
             let first_slab = pc == 0;
-            let b_pack = packs.b.take(b_panel_len);
+            // Each panel is taken at the size packed, not at the `KC x NC`
+            // maximum: a small GEMM keeps its scratch small.
+            let b_pack = packs.b.take(j_tiles * kcb * NR);
             pack_b(b, n, pc, kcb, jc, ncb, b_pack);
             let mut ic = 0;
             while ic < m {
                 let mcb = MC.min(m - ic);
                 let i_tiles = mcb.div_ceil(MR);
-                let a_pack = packs.a.take(a_panel_len);
+                let a_pack = packs.a.take(i_tiles * kcb * MR);
                 pack_a(a, k, ic, mcb, pc, kcb, a_pack);
                 for jt in 0..j_tiles {
                     let j0 = jc + jt * NR;
-                    let ncols = NR.min(n - j0);
+                    let tile = Tile::new(j0, NR.min(n - j0), m, seg, init, first_slab);
                     let b_tile = &b_pack[jt * kcb * NR..(jt + 1) * kcb * NR];
                     let mut it = 0;
                     while it < i_tiles {
                         let i0 = ic + it * MR;
-                        let mrows = MR.min(m - i0);
                         let a_tile = &a_pack[it * kcb * MR..(it + 1) * kcb * MR];
-                        if pair
-                            && ncols == NR
-                            && mrows == MR
-                            && it + 1 < i_tiles
-                            && m - (i0 + MR) >= MR
-                        {
-                            // Two vertically adjacent full strips: the
+                        if pair && it + 1 < i_tiles && m - i0 >= 2 * MR {
+                            // Two vertically adjacent full-height strips: the
                             // widened 2*MR x NR AVX-512 kernel.
                             let a_hi = &a_pack[(it + 1) * kcb * MR..(it + 2) * kcb * MR];
-                            micro_kernel_full_pair(
-                                kcb, a_tile, a_hi, b_tile, init, first_slab, i0, j0, n, out,
-                            );
+                            let mut acc = [[0.0f32; NR]; 2 * MR];
+                            tile.seed(&mut acc, i0, out);
+                            simd::microkernel_8x16(kcb, a_tile, a_hi, b_tile, &mut acc);
+                            tile.store(&acc, i0, out);
                             it += 2;
-                            continue;
-                        }
-                        if mrows == MR && ncols == NR {
-                            // Full tile: every bound is a constant, so the
-                            // accumulator tile stays in SIMD registers.
-                            micro_kernel_full(
-                                isa, kcb, a_tile, b_tile, init, first_slab, i0, j0, n, out,
-                            );
                         } else {
-                            micro_kernel_edge(
-                                kcb, a_tile, b_tile, init, first_slab, i0, j0, mrows, ncols, n, out,
-                            );
+                            // One strip, possibly partial: rows past `m` are
+                            // zero in the packed panel and are neither seeded
+                            // nor stored.
+                            let rows = MR.min(m - i0);
+                            let mut acc = [[0.0f32; NR]; MR];
+                            tile.seed(&mut acc[..rows], i0, out);
+                            simd::microkernel_4x16(isa, kcb, a_tile, b_tile, &mut acc);
+                            tile.store(&acc[..rows], i0, out);
+                            it += 1;
                         }
-                        it += 1;
                     }
                 }
                 ic += mcb;
@@ -323,137 +373,113 @@ fn gemm_blocked(
     }
 }
 
-/// The register-tiled inner kernel for a full `MR x NR` output tile:
-/// loads the tile (or its [`GemmInit`] seed on the first slab), runs
-/// `acc[r][c] += a[p][r] * b[p][c]` for every `p` in ascending order on the
-/// dispatched SIMD backend, and stores it back.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel_full(
-    isa: Isa,
-    kc: usize,
-    a_tile: &[f32],
-    b_tile: &[f32],
-    init: GemmInit<'_>,
+/// One column of output tiles (`NR` columns from `j0`) for one `KC` slab:
+/// how its accumulators are seeded, and where its columns live in `out`.
+///
+/// The columns are kept as runs contiguous in memory: run `(c, at, len)`
+/// holds tile columns `c..c + len`, which output row `i` stores at
+/// `out[at + i * ldc..][..len]`. A tile has one run unless it straddles a
+/// column-block boundary; columns past `n` (zero in the packed B panel)
+/// belong to no run. Seeding and storing go through the same runs for the
+/// single-strip and paired kernels, so the two cannot diverge.
+struct Tile<'a> {
+    init: GemmInit<'a>,
     first_slab: bool,
-    i0: usize,
-    j0: usize,
     ldc: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    seed_tile_rows(&mut acc, init, first_slab, i0, j0, ldc, out);
-    simd::microkernel_4x16(isa, kc, a_tile, b_tile, &mut acc);
-    store_tile_rows(&acc, i0, j0, ldc, out);
+    runs: [(usize, usize, usize); NR],
+    count: usize,
 }
 
-/// The widened paired-strip kernel for two vertically adjacent full
-/// `MR x NR` tiles (a `2*MR x NR` output block): seed/load all `2*MR` rows,
-/// run the widened microkernel, store back. Per element this is the same
-/// ascending-`p` mul-then-add sequence as every other path.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel_full_pair(
-    kc: usize,
-    a_lo: &[f32],
-    a_hi: &[f32],
-    b_tile: &[f32],
-    init: GemmInit<'_>,
-    first_slab: bool,
-    i0: usize,
-    j0: usize,
-    ldc: usize,
-    out: &mut [f32],
-) {
-    let mut acc = [[0.0f32; NR]; 2 * MR];
-    seed_tile_rows(&mut acc, init, first_slab, i0, j0, ldc, out);
-    simd::microkernel_8x16(kc, a_lo, a_hi, b_tile, &mut acc);
-    store_tile_rows(&acc, i0, j0, ldc, out);
-}
+impl<'a> Tile<'a> {
+    /// The tile of `cols` valid columns at `j0` in an `m`-row output
+    /// column-blocked by `seg`.
+    fn new(
+        j0: usize,
+        cols: usize,
+        m: usize,
+        seg: usize,
+        init: GemmInit<'a>,
+        first_slab: bool,
+    ) -> Self {
+        let mut runs = [(0, 0, 0); NR];
+        let (mut block, mut offset) = (j0 / seg, j0 % seg);
+        let (mut c, mut count) = (0, 0);
+        while c < cols {
+            let len = (seg - offset).min(cols - c);
+            runs[count] = (c, block * m * seg + offset, len);
+            c += len;
+            count += 1;
+            block += 1;
+            offset = 0;
+        }
+        Self {
+            init,
+            first_slab,
+            ldc: seg,
+            runs,
+            count,
+        }
+    }
 
-/// Seeds a full-width accumulator block of any row count starting at output
-/// row `i0`: the [`GemmInit`] seed on the first `KC` slab, the current
-/// output values afterwards (or for `Accumulate`). Shared by the single and
-/// paired full-tile kernels so the seeding rules cannot diverge between
-/// dispatch paths.
-#[inline]
-fn seed_tile_rows(
-    acc: &mut [[f32; NR]],
-    init: GemmInit<'_>,
-    first_slab: bool,
-    i0: usize,
-    j0: usize,
-    ldc: usize,
-    out: &[f32],
-) {
-    if first_slab {
-        match init {
-            GemmInit::Zero => {}
-            GemmInit::Accumulate => load_tile_rows(acc, out, i0, j0, ldc),
-            GemmInit::RowBias(bias) => {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    *acc_row = [bias[i0 + r]; NR];
+    /// Seeds the accumulator rows starting at output row `i0`: the
+    /// [`GemmInit`] seed on the first `KC` slab, the current output values
+    /// afterwards (or for `Accumulate`). Only valid columns are written; the
+    /// rest stay zero, computed and discarded like the padded rows.
+    #[inline(always)]
+    fn seed(&self, acc: &mut [[f32; NR]], i0: usize, out: &[f32]) {
+        match (self.first_slab, self.init) {
+            (true, GemmInit::Zero) => {}
+            (true, GemmInit::RowBias(bias)) => {
+                for (acc_row, &bv) in acc.iter_mut().zip(&bias[i0..]) {
+                    *acc_row = [bv; NR];
+                }
+            }
+            _ => self.copy(acc.len(), i0, |r, c, at, len| {
+                copy_run(&mut acc[r][c..], &out[at..], len);
+            }),
+        }
+    }
+
+    /// Stores the valid rows and columns of the accumulator rows back to
+    /// the output, starting at output row `i0`.
+    #[inline(always)]
+    fn store(&self, acc: &[[f32; NR]], i0: usize, out: &mut [f32]) {
+        self.copy(acc.len(), i0, |r, c, at, len| {
+            copy_run(&mut out[at..], &acc[r][c..], len);
+        });
+    }
+
+    /// Calls `f(r, c, at, len)` for every run of every row `r < rows`, with
+    /// `at` the run's offset in `out` for output row `i0 + r`.
+    #[inline(always)]
+    fn copy(&self, rows: usize, i0: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
+        match &self.runs[..self.count] {
+            // The common full-width tile: one constant-length run per row.
+            &[(0, at, NR)] => {
+                for r in 0..rows {
+                    f(r, 0, at + (i0 + r) * self.ldc, NR);
+                }
+            }
+            runs => {
+                for r in 0..rows {
+                    let row = (i0 + r) * self.ldc;
+                    for &(c, at, len) in runs {
+                        f(r, c, row + at, len);
+                    }
                 }
             }
         }
+    }
+}
+
+/// `dst[..len] = src[..len]`, with the full-width run as a constant-length
+/// copy so the common full tile moves whole vectors.
+#[inline(always)]
+fn copy_run(dst: &mut [f32], src: &[f32], len: usize) {
+    if len == NR {
+        dst[..NR].copy_from_slice(&src[..NR]);
     } else {
-        load_tile_rows(acc, out, i0, j0, ldc);
-    }
-}
-
-/// Loads full `NR`-wide rows of `out` starting at `(i0, j0)` into the
-/// accumulator block.
-#[inline]
-fn load_tile_rows(acc: &mut [[f32; NR]], out: &[f32], i0: usize, j0: usize, ldc: usize) {
-    for (r, acc_row) in acc.iter_mut().enumerate() {
-        let row = (i0 + r) * ldc + j0;
-        acc_row.copy_from_slice(&out[row..row + NR]);
-    }
-}
-
-/// Stores the accumulator block back to full `NR`-wide rows of `out`.
-#[inline]
-fn store_tile_rows(acc: &[[f32; NR]], i0: usize, j0: usize, ldc: usize, out: &mut [f32]) {
-    for (r, acc_row) in acc.iter().enumerate() {
-        let row = (i0 + r) * ldc + j0;
-        out[row..row + NR].copy_from_slice(acc_row);
-    }
-}
-
-/// Scalar fallback for partial tiles at the right/bottom edges: identical
-/// accumulation order, one output element at a time.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel_edge(
-    kc: usize,
-    a_tile: &[f32],
-    b_tile: &[f32],
-    init: GemmInit<'_>,
-    first_slab: bool,
-    i0: usize,
-    j0: usize,
-    mrows: usize,
-    ncols: usize,
-    ldc: usize,
-    out: &mut [f32],
-) {
-    for r in 0..mrows {
-        for c in 0..ncols {
-            let oi = (i0 + r) * ldc + j0 + c;
-            let mut acc = if first_slab {
-                match init {
-                    GemmInit::Zero => 0.0,
-                    GemmInit::Accumulate => out[oi],
-                    GemmInit::RowBias(bias) => bias[i0 + r],
-                }
-            } else {
-                out[oi]
-            };
-            for p in 0..kc {
-                acc += a_tile[p * MR + r] * b_tile[p * NR + c];
-            }
-            out[oi] = acc;
-        }
+        dst[..len].copy_from_slice(&src[..len]);
     }
 }
 

@@ -8,13 +8,19 @@
 //! entries, which add nothing.
 //!
 //! `col2im` is the adjoint scatter used by the input-gradient path.
+//!
+//! Several images can share one column matrix: with a row stride `ld =
+//! g*oh*ow`, image `t` of a batch is written at column offset `t*oh*ow`, and
+//! one GEMM then covers the whole `[c*k*k, g*oh*ow]` panel.
 
-/// Unrolls one `[c, h, w]` image into `cols` (`[c*k*k, oh*ow]`, fully
-/// overwritten).
+/// Unrolls one `[c, h, w]` image into columns `col0..col0 + oh*ow` of the
+/// row-major `[c*k*k, ld]` matrix `cols` (those columns fully overwritten,
+/// the others untouched). A lone image uses `ld = oh*ow, col0 = 0`.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths do not match the given dimensions.
+/// Panics if the slice lengths do not match the given dimensions, or if the
+/// image's columns do not fit in a row of `ld`.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col(
     x: &[f32],
@@ -27,20 +33,19 @@ pub fn im2col(
     oh: usize,
     ow: usize,
     cols: &mut [f32],
+    ld: usize,
+    col0: usize,
 ) {
-    assert_eq!(x.len(), c * h * w, "im2col: image must be c*h*w");
-    assert_eq!(
-        cols.len(),
-        c * k * k * oh * ow,
-        "im2col: cols must be c*k*k*oh*ow"
-    );
     let s = oh * ow;
+    assert_eq!(x.len(), c * h * w, "im2col: image must be c*h*w");
+    assert_eq!(cols.len(), c * k * k * ld, "im2col: cols must be c*k*k*ld");
+    assert!(col0 + s <= ld, "im2col: image columns must fit in a row");
     let mut row = 0usize;
     for ic in 0..c {
         let xc = &x[ic * h * w..(ic + 1) * h * w];
         for ky in 0..k {
             for kx in 0..k {
-                let dst = &mut cols[row * s..(row + 1) * s];
+                let dst = &mut cols[row * ld + col0..row * ld + col0 + s];
                 unroll_tap(xc, h, w, kx, ky, stride, padding, oh, ow, dst);
                 row += 1;
             }
@@ -215,12 +220,66 @@ mod tests {
             let (oh, ow) = super::super::naive::conv_out(h, w, k, stride, padding);
             let x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect();
             let mut cols = vec![f32::NAN; c * k * k * oh * ow];
-            im2col(&x, c, h, w, k, stride, padding, oh, ow, &mut cols);
+            im2col(
+                &x,
+                c,
+                h,
+                w,
+                k,
+                stride,
+                padding,
+                oh,
+                ow,
+                &mut cols,
+                oh * ow,
+                0,
+            );
             let expect = im2col_reference(&x, c, h, w, k, stride, padding, oh, ow);
             assert_eq!(
                 cols, expect,
                 "im2col mismatch for c={c} h={h} w={w} k={k} s={stride} p={padding}"
             );
+        }
+    }
+
+    #[test]
+    fn im2col_into_a_shared_panel_matches_per_image_columns() {
+        // Three images written side by side into one [c*k*k, 3*s] panel:
+        // each image's columns equal its own lone im2col, whatever the
+        // order the images are written in.
+        let mut rng = SeededRng::new(0x9A_E1);
+        let (c, h, w, k, stride, padding) = (2usize, 6usize, 6usize, 3usize, 2usize, 1usize);
+        let (oh, ow) = super::super::naive::conv_out(h, w, k, stride, padding);
+        let (s, rows, g) = (oh * ow, c * k * k, 3usize);
+        let xs: Vec<Vec<f32>> = (0..g)
+            .map(|_| (0..c * h * w).map(|_| rng.uniform(-2.0, 2.0)).collect())
+            .collect();
+        let mut panel = vec![f32::NAN; rows * g * s];
+        for t in [2usize, 0, 1] {
+            im2col(
+                &xs[t],
+                c,
+                h,
+                w,
+                k,
+                stride,
+                padding,
+                oh,
+                ow,
+                &mut panel,
+                g * s,
+                t * s,
+            );
+        }
+        for (t, x) in xs.iter().enumerate() {
+            let expect = im2col_reference(x, c, h, w, k, stride, padding, oh, ow);
+            for row in 0..rows {
+                assert_eq!(
+                    &panel[row * g * s + t * s..row * g * s + (t + 1) * s],
+                    &expect[row * s..(row + 1) * s],
+                    "panel row {row} image {t}"
+                );
+            }
         }
     }
 
@@ -239,7 +298,7 @@ mod tests {
             let x: Vec<f32> = (0..c * h * w).map(|_| rng.uniform(-1.0, 1.0)).collect();
             let y: Vec<f32> = (0..c * k * k * s).map(|_| rng.uniform(-1.0, 1.0)).collect();
             let mut cols = vec![0.0f32; c * k * k * s];
-            im2col(&x, c, h, w, k, stride, padding, oh, ow, &mut cols);
+            im2col(&x, c, h, w, k, stride, padding, oh, ow, &mut cols, s, 0);
             let lhs: f64 = cols
                 .iter()
                 .zip(y.iter())

@@ -52,6 +52,7 @@ pub mod scratch;
 pub mod simd;
 pub mod tolerance;
 
+pub(crate) use gemm::gemm_into_blocks;
 pub use gemm::{gemm_bias_cols, gemm_into, transpose_into, GemmInit, KC, MC, MR, NC, NR};
 pub use im2col::{col2im, im2col};
 pub use scratch::{
@@ -207,7 +208,17 @@ mod tests {
         let _lock = simd::isa_override_test_lock();
         let mut rng = SeededRng::new(0x51_4E);
         let mut packs = PackScratch::new();
-        for &(m, k, n) in &[(96usize, 160usize, 96usize), (130, 200, 70), (37, 300, 33)] {
+        // The last three are the big net's late conv GEMMs (3x3 and 6x6
+        // maps, one sample and a fold of five): column-partial tiles behind
+        // a multi-slab K.
+        for &(m, k, n) in &[
+            (96usize, 160usize, 96usize),
+            (130, 200, 70),
+            (37, 300, 33),
+            (40, 360, 9),
+            (24, 216, 36),
+            (40, 360, 45),
+        ] {
             let a = random_vec(&mut rng, m * k);
             let b = random_vec(&mut rng, k * n);
             let bias = random_vec(&mut rng, m);
@@ -242,6 +253,58 @@ mod tests {
                     gemm_into(m, k, n, &a, &b, init, &mut out, &mut packs);
                     let tag = format!("{m}x{k}x{n} mode={mode} {isa}");
                     assert_bits_eq(&out, &expect, &tag);
+                }
+                force_isa(prev);
+            }
+        }
+    }
+
+    /// A column-blocked product ([`gemm_into_blocks`]) stores the same bits
+    /// as the plain one, block by block, on every ISA and for every
+    /// [`GemmInit`] mode. Blocks narrower than `NR`, or not a multiple of it,
+    /// make tiles straddle block boundaries; the 13x20x21 shape runs the
+    /// small-problem path.
+    #[test]
+    fn column_blocked_store_matches_plain_gemm() {
+        let _lock = simd::isa_override_test_lock();
+        let mut rng = SeededRng::new(0xB1_0C);
+        let mut packs = PackScratch::new();
+        for &(m, k, seg, blocks) in &[
+            (40usize, 360usize, 9usize, 5usize),
+            (24, 216, 36, 4),
+            (12, 108, 144, 2),
+            (9, 150, 1, 40),
+            (13, 20, 7, 3),
+        ] {
+            let n = seg * blocks;
+            let a = random_vec(&mut rng, m * k);
+            let b = random_vec(&mut rng, k * n);
+            let bias = random_vec(&mut rng, m);
+            let seed_plain = random_vec(&mut rng, m * n);
+            // Element (i, j) of the plain matrix as stored column-blocked.
+            let to_blocks = |plain: &[f32]| -> Vec<f32> {
+                let mut out = vec![0.0f32; m * n];
+                for i in 0..m {
+                    for j in 0..n {
+                        out[(j / seg) * m * seg + i * seg + j % seg] = plain[i * n + j];
+                    }
+                }
+                out
+            };
+            for isa in supported_isas() {
+                let prev = force_isa(Some(isa));
+                for mode in 0..3 {
+                    let init = match mode {
+                        0 => GemmInit::Zero,
+                        1 => GemmInit::Accumulate,
+                        _ => GemmInit::RowBias(&bias),
+                    };
+                    let mut plain = seed_plain.clone();
+                    gemm_into(m, k, n, &a, &b, init, &mut plain, &mut packs);
+                    let mut blocked = to_blocks(&seed_plain);
+                    gemm_into_blocks(m, k, n, seg, &a, &b, init, &mut blocked, &mut packs);
+                    let tag = format!("{m}x{k}x{n} seg={seg} mode={mode} {isa}");
+                    assert_bits_eq(&blocked, &to_blocks(&plain), &tag);
                 }
                 force_isa(prev);
             }

@@ -104,7 +104,12 @@ impl GrowBuf {
     pub fn take(&mut self, len: usize) -> &mut [f32] {
         if self.buf.len() < len {
             SCRATCH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            self.buf.resize(len, 0.0);
+            // The contents are dirty by contract, so growing keeps none of
+            // them: free the old storage first and allocate exactly `len`.
+            // A resize would copy stale values and could double the
+            // capacity, and while copying both buffers would be resident.
+            self.buf = Vec::new();
+            self.buf = vec![0.0; len];
         } else {
             SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
         }

@@ -11,6 +11,17 @@
 //! equivalent (GEMM sums output channels before scattering) and covered by
 //! gradcheck.
 //!
+//! `Conv2d` forward folds the batch into the GEMM's `N` (Chellapilla et al.,
+//! 2006): each group of consecutive samples shares one `[c*k*k, g*oh*ow]`
+//! im2col panel, and one column-blocked GEMM (`kernels::gemm_into_blocks`)
+//! writes the group's output straight into NCHW. The group is just large
+//! enough that small late-stage maps (3x3, 6x6) fill whole microkernel
+//! tiles (see `fold_group`). Every output element still accumulates its taps
+//! in the same order from its bias seed, so folding changes no bits and a
+//! sample's output does not depend on its batch neighbours. A group of one
+//! sample is the per-sample lowering, where a 1x1 stride-1 convolution uses
+//! its input as the column matrix. Backward stays per sample.
+//!
 //! Both layers draw their im2col and GEMM-packing buffers from the current
 //! thread's [`kernels::with_thread_scratch`] arena, so steady-state
 //! inference reuses warmed high-water buffers instead of allocating — on the
@@ -34,6 +45,38 @@ fn conv_output_hw(
     let oh = (h + 2 * padding - kernel) / stride + 1;
     let ow = (w + 2 * padding - kernel) / stride + 1;
     (oh, ow)
+}
+
+/// Samples per forward GEMM. Folding exists to fill microkernel tiles: `g`
+/// samples give the GEMM `N = g*s` columns, all in whole `NR`-wide tiles once
+/// `g*s` is a multiple of `NR`. The group is the fewest samples that do that
+/// (one when `s` already is), capped at what fits one packed `KC x NC` B
+/// panel. A larger group fills no more tiles; it only grows the per-thread
+/// im2col panel and the packing panels, which is resident memory.
+fn fold_group(ckk: usize, s: usize) -> usize {
+    let (nr, panel) = (kernels::NR, kernels::KC * kernels::NC);
+    let whole_tiles = (1..nr).find(|g| (g * s).is_multiple_of(nr)).unwrap_or(nr);
+    whole_tiles.min(panel / (ckk * s).max(1)).max(1)
+}
+
+/// A convolution's im2col geometry, copied out of the layer so a backward
+/// pass can unroll while it holds the layer's gradients mutably.
+#[derive(Clone, Copy)]
+struct Taps {
+    channels: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+}
+
+impl Taps {
+    /// im2col of one `[channels, h, w]` sample into columns
+    /// `col0..col0 + oh*ow` of the `[channels*k*k, ld]` panel `cols`.
+    fn unroll(self, x: &[f32], h: usize, w: usize, cols: &mut [f32], ld: usize, col0: usize) {
+        let (c, k, stride, padding) = (self.channels, self.kernel, self.stride, self.padding);
+        let (oh, ow) = conv_output_hw(h, w, k, stride, padding);
+        kernels::im2col(x, c, h, w, k, stride, padding, oh, ow, cols, ld, col0);
+    }
 }
 
 /// Standard 2-D convolution over NCHW tensors.
@@ -112,6 +155,15 @@ impl Conv2d {
         self.kernel == 1 && self.stride == 1 && self.padding == 0
     }
 
+    fn taps(&self) -> Taps {
+        Taps {
+            channels: self.in_channels,
+            kernel: self.kernel,
+            stride: self.stride,
+            padding: self.padding,
+        }
+    }
+
     fn check_input(&self, input: &Tensor) {
         assert_eq!(input.rank(), 4, "Conv2d expects NCHW input");
         assert_eq!(
@@ -146,32 +198,38 @@ impl Layer for Conv2d {
         );
         let k = self.kernel;
         let (oh, ow) = conv_output_hw(h, w, k, self.stride, self.padding);
-        let (s, ckk) = (oh * ow, c * k * k);
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
+        let (s, ckk, oc) = (oh * ow, c * k * k, self.out_channels);
+        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
         let x = input.data();
         let wgt = self.weight.value.data();
         let bias = self.bias.value.data();
         let odata = out.data_mut();
         let pointwise = self.is_pointwise();
+        let (xs, os) = (c * h * w, oc * s);
+        let group = fold_group(ckk, s);
+        let taps = self.taps();
         kernels::with_thread_scratch(|scratch| {
-            for b in 0..n {
-                let xb = &x[b * c * h * w..(b + 1) * c * h * w];
-                let ob = &mut odata[b * self.out_channels * s..(b + 1) * self.out_channels * s];
-                let cols: &[f32] = if pointwise {
-                    xb
+            for b0 in (0..n).step_by(group) {
+                let g = group.min(n - b0);
+                let xg = &x[b0 * xs..(b0 + g) * xs];
+                let cols: &[f32] = if pointwise && g == 1 {
+                    xg
                 } else {
-                    let cols = scratch.cols.take(ckk * s);
-                    kernels::im2col(xb, c, h, w, k, self.stride, self.padding, oh, ow, cols);
+                    let cols = scratch.cols.take(ckk * g * s);
+                    for t in 0..g {
+                        taps.unroll(&xg[t * xs..(t + 1) * xs], h, w, cols, g * s, t * s);
+                    }
                     cols
                 };
-                kernels::gemm_into(
-                    self.out_channels,
+                kernels::gemm_into_blocks(
+                    oc,
                     ckk,
+                    g * s,
                     s,
                     wgt,
                     cols,
                     GemmInit::RowBias(bias),
-                    ob,
+                    &mut odata[b0 * os..(b0 + g) * os],
                     &mut scratch.packs,
                 );
             }
@@ -191,6 +249,7 @@ impl Layer for Conv2d {
             input.shape()[3],
         );
         let k = self.kernel;
+        let taps = self.taps();
         let oc = self.out_channels;
         let (oh, ow) = conv_output_hw(h, w, k, self.stride, self.padding);
         assert_eq!(
@@ -235,7 +294,7 @@ impl Layer for Conv2d {
                     kernels::transpose_into(xb, ckk, s, cols_t);
                 } else {
                     let cols = scratch.cols.take(ckk * s);
-                    kernels::im2col(xb, c, h, w, k, self.stride, self.padding, oh, ow, cols);
+                    taps.unroll(xb, h, w, cols, s, 0);
                     kernels::transpose_into(cols, ckk, s, cols_t);
                 }
                 kernels::gemm_into(
@@ -346,6 +405,15 @@ impl DepthwiseConv2d {
             cached_input: None,
         }
     }
+
+    fn taps(&self) -> Taps {
+        Taps {
+            channels: 1,
+            kernel: self.kernel,
+            stride: self.stride,
+            padding: self.padding,
+        }
+    }
 }
 
 impl Layer for DepthwiseConv2d {
@@ -381,13 +449,14 @@ impl Layer for DepthwiseConv2d {
         let odata = out.data_mut();
         // Each channel is an independent [1, k*k] x [k*k, s] GEMM, which the
         // kernel layer runs on its small-problem path (plain row-accumulate).
+        let taps = self.taps();
         kernels::with_thread_scratch(|scratch| {
             for b in 0..n {
                 for ch in 0..c {
                     let xc = &x[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
                     let ochan = &mut odata[(b * c + ch) * s..(b * c + ch + 1) * s];
                     let cols = scratch.cols.take(kk * s);
-                    kernels::im2col(xc, 1, h, w, k, self.stride, self.padding, oh, ow, cols);
+                    taps.unroll(xc, h, w, cols, s, 0);
                     kernels::gemm_into(
                         1,
                         kk,
@@ -416,6 +485,7 @@ impl Layer for DepthwiseConv2d {
             input.shape()[3],
         );
         let k = self.kernel;
+        let taps = self.taps();
         let (oh, ow) = conv_output_hw(h, w, k, self.stride, self.padding);
         let (s, kk) = (oh * ow, k * k);
         let mut grad_input = Tensor::zeros(input.shape());
@@ -439,7 +509,7 @@ impl Layer for DepthwiseConv2d {
                     gb[ch] = acc;
                     // Weight gradient: gw[ch] += grad_out [1, s] x im2col(x)^T.
                     let cols = scratch.cols.take(kk * s);
-                    kernels::im2col(xc, 1, h, w, k, self.stride, self.padding, oh, ow, cols);
+                    taps.unroll(xc, h, w, cols, s, 0);
                     let cols_t = scratch.cols_t.take(s * kk);
                     kernels::transpose_into(cols, kk, s, cols_t);
                     kernels::gemm_into(
@@ -682,6 +752,56 @@ mod equivalence {
                     y.data(),
                     &expect,
                     &format!("conv fwd k={k} s={stride} p={padding} n={n} c={c} oc={oc}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn folded_forward_matches_naive_at_the_big_net_geometries() {
+        // Batch sizes that fill a fold group exactly, overflow it by one and
+        // leave a short last group, at the big net's conv geometries
+        // (channels, map, kernel, stride, padding, group) plus 1x1
+        // convolutions whose group holds several samples. 12x12 maps are
+        // whole tiles alone; 6x6 maps fold 4 samples into 144 columns; 3x3
+        // maps fold 16, or 10 where 16 would outgrow one packed B panel.
+        let mut rng = SeededRng::new(0xF01D);
+        for &(c, oc, hw, k, stride, padding, group) in &[
+            (12usize, 12usize, 12usize, 3usize, 1usize, 1usize, 1usize),
+            (24, 24, 6, 3, 1, 1, 4),
+            (24, 40, 6, 3, 2, 1, 16),
+            (40, 40, 3, 3, 1, 1, 10),
+            (24, 40, 6, 1, 2, 0, 16),
+            (24, 40, 6, 1, 1, 0, 4),
+        ] {
+            let (oh, ow) = conv_output_hw(hw, hw, k, stride, padding);
+            let g = fold_group(c * k * k, oh * ow);
+            assert_eq!(g, group, "{c}->{oc} at {hw}x{hw} fold group");
+            let mut ns = vec![2, g, g + 1, 17];
+            ns.sort_unstable();
+            ns.dedup();
+            for n in ns {
+                let mut conv = Conv2d::new(c, oc, k, stride, padding, &mut rng);
+                conv.bias.value = Tensor::randn(&[oc], &mut rng);
+                let x = Tensor::randn(&[n, c, hw, hw], &mut rng);
+                let y = conv.forward(&x, false);
+                let expect = naive::conv2d_forward_naive(
+                    x.data(),
+                    n,
+                    c,
+                    hw,
+                    hw,
+                    conv.weight.value.data(),
+                    conv.bias.value.data(),
+                    oc,
+                    k,
+                    stride,
+                    padding,
+                );
+                assert_bits_eq(
+                    y.data(),
+                    &expect,
+                    &format!("folded conv {c}->{oc} {hw}x{hw} k={k} s={stride} n={n} g={g}"),
                 );
             }
         }

@@ -248,3 +248,45 @@ fn batch_responses_do_not_depend_on_a_poisoned_neighbour() {
         }
     }
 }
+
+#[test]
+fn big_net_logits_do_not_depend_on_batch_composition() {
+    // Per-sample purity at the logit level: the big net's convolutions fold
+    // several samples into one GEMM, so every sample's logits must still be
+    // bit-identical to its batch-1 logits — at batch sizes that fill and
+    // overflow a fold group, clean and beside a NaN, ±Inf or 1e30 frame
+    // placed first, in the middle and last.
+    let (_, mut big) = seeded_models();
+    let mut rng = SeededRng::new(77);
+    for n in [5usize, 16, 40] {
+        let clean = Tensor::randn(&[n, 3, 12, 12], &mut rng);
+        let frame = clean.len() / n;
+        let alone: Vec<Tensor> = (0..n)
+            .map(|i| big.forward(&clean.select_rows(&[i]), false))
+            .collect();
+        let mut cases = vec![(None, 0.0f32)];
+        for poisoned in [0, n / 2, n - 1] {
+            for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30] {
+                cases.push((Some(poisoned), poison));
+            }
+        }
+        for (poisoned, poison) in cases {
+            let mut images = clean.clone();
+            if let Some(p) = poisoned {
+                images.data_mut()[p * frame..(p + 1) * frame].fill(poison);
+            }
+            let logits = big.forward(&images, false);
+            for (i, single) in alone.iter().enumerate() {
+                if Some(i) == poisoned {
+                    continue;
+                }
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&logits.row(i)),
+                    bits(single),
+                    "batch {n}, poison {poison} at {poisoned:?}: sample {i} logits"
+                );
+            }
+        }
+    }
+}
